@@ -5,9 +5,10 @@
 //! [`drift_stream`] feeds generations whose class priors tilt and whose
 //! vocabulary shifts from each class's broad core lexicon to a narrower
 //! domain lexicon. Each generation is ingested through
-//! [`Engine::ingest`] — the generation-keyed incremental pipeline — and
-//! scored against the batch's gold labels, so the table shows how a frozen
-//! rule holds up as the stream leaves its fit distribution.
+//! [`Engine::ingest`] — which scores only that generation's documents with
+//! the frozen rule — and scored against the batch's gold labels, so the
+//! table shows how a frozen rule holds up as the stream leaves its fit
+//! distribution.
 
 use crate::table::ms;
 use crate::{BenchConfig, BenchError, Table};

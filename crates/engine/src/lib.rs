@@ -31,7 +31,7 @@ use structmine::westclass::WeSTClass;
 use structmine::xclass::{XClass, XClassModel, XClassOutput};
 use structmine_linalg::exec::{par_map_chunks, ExecPolicy};
 use structmine_linalg::{stats, vector, Matrix, Precision};
-use structmine_plm::artifacts::{DocMeanReps, DocMeanRepsShard, EncodeDeltaCorpus};
+use structmine_plm::artifacts::{DocMeanReps, DocMeanRepsShard};
 use structmine_plm::MiniPlm;
 use structmine_shard::shard_range;
 use structmine_text::delta::{DeltaCorpus, DeltaError, Generation};
@@ -248,9 +248,8 @@ impl From<structmine::MethodError> for EngineError {
 pub struct Ingested {
     /// The generation the corpus reached by applying the delta.
     pub generation: Generation,
-    /// Predictions for the delta's documents, in input order — computed
-    /// from the delta's freshly appended doc reps, byte-identical to
-    /// [`Engine::classify`] on the same lines.
+    /// Predictions for the delta's documents, in input order —
+    /// byte-identical to [`Engine::classify`] on the same lines.
     pub predictions: Vec<Prediction>,
 }
 
@@ -451,16 +450,14 @@ impl Engine {
     /// Ingest a batch of raw text documents as the corpus's next
     /// generation and classify them.
     ///
-    /// The documents are tokenized against the frozen fit vocabulary (the
-    /// same closed-vocabulary path `classify` uses) and appended as a
-    /// [`DeltaCorpus`] delta; corpus statistics update incrementally. The
-    /// new documents are then encoded through the generation-keyed
-    /// [`EncodeDeltaCorpus`] stage — a warm store re-encodes **only** this
-    /// delta's docs, reusing every earlier generation — and classified with
-    /// the frozen serving rule, reusing those freshly appended reps. The
-    /// serving rule itself never refits, so `classify` output is unchanged
-    /// by ingestion and each returned prediction is byte-identical to
-    /// `classify` on the same line.
+    /// The documents are tokenized against the frozen fit vocabulary and
+    /// scored by exactly the per-document path `classify` uses, so each
+    /// returned prediction is byte-identical to `classify` on the same
+    /// line. Only then are they appended as a [`DeltaCorpus`] delta
+    /// (corpus statistics update incrementally); a scoring error leaves
+    /// the generation where it was. The serving rule never refits and
+    /// scores each document alone, so an ingest costs O(delta): no
+    /// earlier generation is encoded or read again.
     pub fn ingest(&self, lines: &[String]) -> Result<Ingested, EngineError> {
         let _stage = structmine_store::context::stage_guard("engine/ingest");
         let model = self.serve_model()?; // transductive methods refuse here
@@ -474,54 +471,12 @@ impl Engine {
                 return Err(EngineError::GenerationLimit { limit });
             }
         }
-        let docs: Vec<Doc> = lines
-            .iter()
-            .map(|l| Doc::from_tokens(self.tokenize(l)))
-            .collect();
-        let delta = st.delta.next_delta(docs);
+        let docs: Vec<Vec<TokenId>> = lines.iter().map(|l| self.tokenize(l)).collect();
+        let probs = self.proba_for_tokens(&model, &docs)?;
+        let delta = st
+            .delta
+            .next_delta(docs.into_iter().map(Doc::from_tokens).collect());
         let generation = st.delta.apply(delta).map_err(EngineError::Delta)?;
-        let range = st.delta.gen_range(generation);
-
-        let probs: Vec<Vec<f32>> = match &*model {
-            // Prompting scores straight from tokens; no doc reps to refresh.
-            ServeModel::Prompt => {
-                let toks: Vec<Vec<TokenId>> = st.delta.corpus().docs[range]
-                    .iter()
-                    .map(|d| d.tokens.clone())
-                    .collect();
-                self.proba_for_tokens(&model, &toks)?
-            }
-            _ => {
-                let reps = structmine_store::global().run_delta(&EncodeDeltaCorpus {
-                    model: self.plm_ref()?.as_ref(),
-                    delta: &st.delta,
-                    exec: self.exec,
-                });
-                let fresh = &reps[range];
-                match &*model {
-                    ServeModel::XClass(m) => {
-                        fresh.iter().map(|r| m.predict_proba(&r.tokens)).collect()
-                    }
-                    ServeModel::LotClass(m) => {
-                        fresh.iter().map(|r| m.predict_proba(&r.mean)).collect()
-                    }
-                    ServeModel::Match { prototypes } => fresh
-                        .iter()
-                        .map(|r| {
-                            let scores: Vec<f32> = (0..prototypes.rows())
-                                .map(|c| vector::cosine(&r.mean, prototypes.row(c)))
-                                .collect();
-                            sharpened_softmax(scores)
-                        })
-                        .collect(),
-                    ServeModel::Prompt => {
-                        return Err(EngineError::Internal {
-                            what: "prompt rule reached the rep-based ingest path".into(),
-                        })
-                    }
-                }
-            }
-        };
         let predictions: Vec<Prediction> = probs.iter().map(|p| self.to_prediction(p)).collect();
         st.preds.extend(predictions.iter().cloned());
         structmine_store::obs::counter_add("engine.generation", 1);
@@ -828,13 +783,12 @@ impl Engine {
                 let reps = self.plm_ref()?.encode_docs(docs, &self.exec);
                 reps.iter().map(|r| m.predict_proba(&r.tokens)).collect()
             }
-            ServeModel::LotClass(m) => {
-                let plm = self.plm_ref()?;
-                let prec = self.exec.precision();
-                par_map_chunks(&self.exec, docs, |_, toks| {
-                    m.predict_proba(&plm.mean_embed_prec(toks, prec))
-                })
-            }
+            ServeModel::LotClass(m) => self
+                .plm_ref()?
+                .mean_embed_docs(docs, &self.exec)
+                .iter()
+                .map(|rep| m.predict_proba(rep))
+                .collect(),
             ServeModel::Prompt => {
                 let plm = self.plm_ref()?;
                 let vocab = &self.dataset.corpus.vocab;
@@ -861,17 +815,17 @@ impl Engine {
                     )
                 })
             }
-            ServeModel::Match { prototypes } => {
-                let plm = self.plm_ref()?;
-                let prec = self.exec.precision();
-                par_map_chunks(&self.exec, docs, |_, toks| {
-                    let rep = plm.mean_embed_prec(toks, prec);
+            ServeModel::Match { prototypes } => self
+                .plm_ref()?
+                .mean_embed_docs(docs, &self.exec)
+                .iter()
+                .map(|rep| {
                     let scores: Vec<f32> = (0..prototypes.rows())
-                        .map(|c| vector::cosine(&rep, prototypes.row(c)))
+                        .map(|c| vector::cosine(rep, prototypes.row(c)))
                         .collect();
                     sharpened_softmax(scores)
                 })
-            }
+                .collect(),
         })
     }
 }

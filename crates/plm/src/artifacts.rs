@@ -33,8 +33,7 @@ use crate::model::MiniPlm;
 use crate::repr::{self, DocRep};
 use structmine_linalg::exec::ExecPolicy;
 use structmine_linalg::Matrix;
-use structmine_store::{DeltaStage, Persistence, StableHash, StableHasher, Stage};
-use structmine_text::delta::DeltaCorpus;
+use structmine_store::{Persistence, StableHash, StableHasher, Stage};
 use structmine_text::vocab::TokenId;
 use structmine_text::Corpus;
 
@@ -224,130 +223,6 @@ impl Stage for DocMeanRepsShard<'_> {
     }
 }
 
-/// Delta stage: encode a [`DeltaCorpus`] generation by generation
-/// ([`repr::encode_corpus_range`]). Generation 0 encodes the base corpus;
-/// each refresh encodes **only** that generation's documents and appends
-/// their reps in doc-index order — bitwise identical to a cold
-/// [`EncodeCorpus`] of the merged corpus, because every document runs
-/// through the same per-document code path with its absolute index.
-/// Memory-only, like [`EncodeCorpus`], and keyed on the delta chain rather
-/// than the merged corpus fingerprint (DESIGN §11).
-pub struct EncodeDeltaCorpus<'a> {
-    /// The encoder.
-    pub model: &'a MiniPlm,
-    /// The generational corpus to encode.
-    pub delta: &'a DeltaCorpus,
-    /// How to share the per-document encodes across threads.
-    pub exec: ExecPolicy,
-}
-
-impl DeltaStage for EncodeDeltaCorpus<'_> {
-    type Output = Vec<DocRep>;
-
-    fn name(&self) -> &'static str {
-        "plm/encode-delta"
-    }
-
-    fn persistence(&self) -> Persistence {
-        Persistence::MemoryOnly
-    }
-
-    fn generation(&self) -> u64 {
-        u64::from(self.delta.generation())
-    }
-
-    fn base_fingerprint(&self, h: &mut StableHasher) {
-        h.write_u128(self.model.fingerprint());
-        h.write_u128(self.delta.base_fingerprint());
-        self.exec.precision().stable_hash(h);
-    }
-
-    fn delta_fingerprint(&self, h: &mut StableHasher, g: u64) {
-        h.write_u128(self.delta.delta_fingerprint(g as u32));
-    }
-
-    fn compute_base(&self) -> Vec<DocRep> {
-        repr::encode_corpus_range(
-            self.model,
-            self.delta.corpus(),
-            self.delta.gen_range(0),
-            &self.exec,
-        )
-    }
-
-    fn refresh(&self, previous: &Vec<DocRep>, g: u64) -> Vec<DocRep> {
-        let mut reps = previous.clone();
-        reps.extend(repr::encode_corpus_range(
-            self.model,
-            self.delta.corpus(),
-            self.delta.gen_range(g as u32),
-            &self.exec,
-        ));
-        reps
-    }
-}
-
-/// Delta stage: the mean-rep matrix of a [`DeltaCorpus`], refreshed by
-/// appending only the new generation's rows ([`repr::doc_mean_rows_range`]).
-/// Persisted like [`DocMeanReps`], so a restarted server resumes the chain
-/// from disk.
-pub struct DocMeanRepsDelta<'a> {
-    /// The encoder.
-    pub model: &'a MiniPlm,
-    /// The generational corpus to represent.
-    pub delta: &'a DeltaCorpus,
-    /// How to share the per-document encodes across threads.
-    pub exec: ExecPolicy,
-}
-
-impl DeltaStage for DocMeanRepsDelta<'_> {
-    type Output = Matrix;
-
-    fn name(&self) -> &'static str {
-        "plm/doc-mean-reps-delta"
-    }
-
-    fn generation(&self) -> u64 {
-        u64::from(self.delta.generation())
-    }
-
-    fn base_fingerprint(&self, h: &mut StableHasher) {
-        h.write_u128(self.model.fingerprint());
-        h.write_u128(self.delta.base_fingerprint());
-        self.exec.precision().stable_hash(h);
-    }
-
-    fn delta_fingerprint(&self, h: &mut StableHasher, g: u64) {
-        h.write_u128(self.delta.delta_fingerprint(g as u32));
-    }
-
-    fn compute_base(&self) -> Matrix {
-        let rows = repr::doc_mean_rows_range(
-            self.model,
-            self.delta.corpus(),
-            self.delta.gen_range(0),
-            &self.exec,
-        );
-        repr::rows_to_matrix(rows, self.model.config.d_model)
-    }
-
-    fn refresh(&self, previous: &Matrix, g: u64) -> Matrix {
-        let new_rows = repr::doc_mean_rows_range(
-            self.model,
-            self.delta.corpus(),
-            self.delta.gen_range(g as u32),
-            &self.exec,
-        );
-        let mut rows: Vec<&[f32]> = (0..previous.rows()).map(|r| previous.row(r)).collect();
-        rows.extend(new_rows.iter().map(Vec::as_slice));
-        if rows.is_empty() {
-            Matrix::zeros(0, self.model.config.d_model)
-        } else {
-            Matrix::from_rows(&rows)
-        }
-    }
-}
-
 /// Stage: entailment probability of every (document, hypothesis) pair
 /// ([`repr::nli_entail_matrix`]) — TaxoClass's relevance matrix and the
 /// zero-shot entailment baseline.
@@ -451,76 +326,6 @@ mod tests {
         let b = store.run(&stage);
         assert!(std::sync::Arc::ptr_eq(&a, &b));
         assert_eq!(store.stats().mem_hits, 1);
-    }
-
-    #[test]
-    fn delta_encode_matches_cold_whole_corpus_encode_bitwise() {
-        let (model, corpus) = tiny_model_and_corpus();
-        let store = ArtifactStore::memory_only();
-        let mut dc = DeltaCorpus::from_corpus(corpus);
-        // Two generations of new docs over the base vocabulary.
-        let vocab_len = dc.corpus().vocab.len() as TokenId;
-        for tokens in [vec![6, 7, 8], vec![vocab_len - 1, 9]] {
-            let delta = dc.next_delta(vec![structmine_text::Doc::from_tokens(tokens)]);
-            dc.apply(delta).unwrap();
-            let stage = EncodeDeltaCorpus {
-                model: &model,
-                delta: &dc,
-                exec: ExecPolicy::serial(),
-            };
-            let warm = store.run_delta(&stage);
-            let cold = repr::encode_corpus(&model, dc.corpus(), &ExecPolicy::serial());
-            assert_eq!(warm.len(), cold.len());
-            for (a, b) in warm.iter().zip(&cold) {
-                assert_eq!(a.doc, b.doc);
-                assert_eq!(a.tokens.data(), b.tokens.data());
-                assert_eq!(a.mean, b.mean);
-            }
-        }
-    }
-
-    #[test]
-    fn delta_mean_reps_match_cold_matrix_bitwise() {
-        let (model, corpus) = tiny_model_and_corpus();
-        let store = ArtifactStore::memory_only();
-        let mut dc = DeltaCorpus::from_corpus(corpus);
-        for tokens in [vec![5, 6], vec![10, 11, 12]] {
-            let delta = dc.next_delta(vec![structmine_text::Doc::from_tokens(tokens)]);
-            dc.apply(delta).unwrap();
-        }
-        let stage = DocMeanRepsDelta {
-            model: &model,
-            delta: &dc,
-            exec: ExecPolicy::serial(),
-        };
-        let warm = store.run_delta(&stage);
-        let cold = repr::doc_mean_reps_with(&model, dc.corpus(), &ExecPolicy::serial());
-        assert_eq!(warm.shape(), cold.shape());
-        assert_eq!(warm.data(), cold.data());
-    }
-
-    #[test]
-    fn delta_encode_reuses_previous_generations() {
-        let (model, corpus) = tiny_model_and_corpus();
-        let store = ArtifactStore::memory_only();
-        let mut dc = DeltaCorpus::from_corpus(corpus);
-        let delta = dc.next_delta(vec![structmine_text::Doc::from_tokens(vec![6, 7])]);
-        dc.apply(delta).unwrap();
-        let first = store.run_delta(&EncodeDeltaCorpus {
-            model: &model,
-            delta: &dc,
-            exec: ExecPolicy::serial(),
-        });
-        // Asking for the same generation again is a pure memory hit.
-        let hits_before = store.stats().mem_hits;
-        let again = store.run_delta(&EncodeDeltaCorpus {
-            model: &model,
-            delta: &dc,
-            exec: ExecPolicy::serial(),
-        });
-        assert!(std::sync::Arc::ptr_eq(&first, &again));
-        assert_eq!(store.stats().mem_hits, hits_before + 1);
-        assert_eq!(store.stats().misses, 2, "base + one refresh, computed once");
     }
 
     #[test]

@@ -59,14 +59,36 @@ impl MiniPlm {
         let prec = policy.precision();
         par_map_chunks(policy, docs, |i, tokens| encode_one(self, i, tokens, prec))
     }
+
+    /// The mean-pooled vector of each ad-hoc token sequence — the batched,
+    /// counted form of [`MiniPlm::mean_embed_prec`] at the policy's tier.
+    /// Rows are bitwise identical for any batching and thread count.
+    pub fn mean_embed_docs(&self, docs: &[Vec<TokenId>], policy: &ExecPolicy) -> Vec<Vec<f32>> {
+        mean_embed_batch(self, docs, |tokens| tokens.as_slice(), policy)
+    }
 }
 
-/// Mirror every corpus-level document encode into the run report
-/// (`plm.docs_encoded`). The streaming equivalence tests and the `/stats`
-/// route use this to assert that a warm delta refresh encodes only the
-/// delta's documents.
+/// Mirror every document forward pass into the run report
+/// (`plm.docs_encoded`), so `/stats` shows how many encodes a workload
+/// paid per document it served.
 fn count_encoded(n: usize) {
     structmine_store::obs::counter_add("plm.docs_encoded", n as u64);
+}
+
+/// Mean-pool each item's tokens, counted and shared across the policy's
+/// threads — the one batch path behind [`MiniPlm::mean_embed_docs`] and
+/// [`doc_mean_rows_range`].
+fn mean_embed_batch<T: Sync>(
+    model: &MiniPlm,
+    items: &[T],
+    tokens: impl Fn(&T) -> &[TokenId] + Sync,
+    policy: &ExecPolicy,
+) -> Vec<Vec<f32>> {
+    count_encoded(items.len());
+    let prec = policy.precision();
+    par_map_chunks(policy, items, |_, item| {
+        model.mean_embed_prec(tokens(item), prec)
+    })
 }
 
 /// Encode one token sequence into a [`DocRep`] — the single per-document
@@ -97,25 +119,6 @@ pub fn encode_corpus(model: &MiniPlm, corpus: &Corpus, policy: &ExecPolicy) -> V
     })
 }
 
-/// Encode a contiguous doc-index range of a corpus. Each [`DocRep::doc`]
-/// carries the document's **absolute** corpus index, and every document
-/// goes through the same per-document code path as [`encode_corpus`], so
-/// concatenating range encodes in order is bitwise identical to one whole-
-/// corpus encode — the invariant the generation-delta stages rely on.
-pub fn encode_corpus_range(
-    model: &MiniPlm,
-    corpus: &Corpus,
-    range: std::ops::Range<usize>,
-    policy: &ExecPolicy,
-) -> Vec<DocRep> {
-    let start = range.start;
-    count_encoded(range.len());
-    let prec = policy.precision();
-    par_map_chunks(policy, &corpus.docs[range], |i, doc| {
-        encode_one(model, start + i, &doc.tokens, prec)
-    })
-}
-
 /// Average-pooled representation of every document (`n x d`), using the
 /// given execution policy.
 pub fn doc_mean_reps_with(model: &MiniPlm, corpus: &Corpus, policy: &ExecPolicy) -> Matrix {
@@ -133,11 +136,12 @@ pub fn doc_mean_rows_range(
     range: std::ops::Range<usize>,
     policy: &ExecPolicy,
 ) -> Vec<Vec<f32>> {
-    count_encoded(range.len());
-    let prec = policy.precision();
-    par_map_chunks(policy, &corpus.docs[range], |_, doc| {
-        model.mean_embed_prec(&doc.tokens, prec)
-    })
+    mean_embed_batch(
+        model,
+        &corpus.docs[range],
+        |doc| doc.tokens.as_slice(),
+        policy,
+    )
 }
 
 /// Stack owned rows into a matrix (empty input keeps the column count).

@@ -58,7 +58,6 @@
 //! | `STRUCTMINE_REPORT` | Write the JSON run report to this path at process exit |
 
 pub mod context;
-pub mod delta;
 pub mod error;
 pub mod faults;
 pub mod hash;
@@ -69,7 +68,6 @@ pub mod obs;
 pub mod stage;
 pub mod store;
 
-pub use delta::DeltaStage;
 pub use error::{FaultPlanError, IoOp, PipelineError, StoreError};
 pub use faults::{FaultInjector, FaultPlan};
 pub use hash::{fingerprint_of, StableHash, StableHasher};

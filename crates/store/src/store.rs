@@ -334,9 +334,10 @@ impl ArtifactStore {
 
     /// Look up `key` in the configured layers *without* computing on a
     /// miss. A hit bumps the usual hit counters (and memoizes a disk hit);
-    /// a miss bumps nothing — the caller decides whether to compute. The
-    /// delta-stage machinery ([`ArtifactStore::run_delta`]) uses this to
-    /// probe a generation chain for the newest cached artifact.
+    /// a miss bumps nothing — the caller decides whether to compute.
+    /// [`ArtifactStore::get_or_compute`] probes with it before computing,
+    /// and [`ArtifactStore::run_leased`] while it waits on a sibling
+    /// process's lease.
     pub fn peek<T: Artifact>(&self, key: &ArtifactKey, persistence: Persistence) -> Option<Arc<T>> {
         let id = key.id();
         let degraded = self.is_degraded();
@@ -366,19 +367,6 @@ impl ArtifactStore {
             }
         }
         None
-    }
-
-    /// Evict one artifact from the in-process layer (disk files are kept).
-    /// Generation retention (`STRUCTMINE_GENERATION_KEEP`) uses this to
-    /// bound memory across long delta chains.
-    pub fn forget(&self, key: &ArtifactKey) {
-        self.mem.lock().remove(&key.id());
-    }
-
-    /// The obs-mirroring scope, for modules that add their own counters
-    /// under this store's namespace (e.g. per-generation hit rates).
-    pub(crate) fn scope(&self) -> Option<&str> {
-        self.scope.as_deref()
     }
 
     fn memoize<T: Artifact>(&self, id: &str, arc: &Arc<T>) {

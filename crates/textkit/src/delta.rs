@@ -31,9 +31,7 @@
 //! Deltas fail closed: [`DeltaCorpus::apply`] rejects a delta whose
 //! generation is not exactly `current + 1` (duplicates and gaps are both
 //! errors) and rejects token ids outside the current vocabulary *before*
-//! mutating any state. Downstream, `structmine_store`'s delta stages chain
-//! artifact keys on `(previous key, delta fingerprint, generation)`, so
-//! editing delta j invalidates generations j..N while 0..j-1 stay reusable.
+//! mutating any state.
 
 use crate::corpus::{Corpus, Doc};
 use crate::tfidf::TfIdf;
@@ -115,12 +113,7 @@ pub struct CorpusDelta {
 #[derive(Clone, Debug)]
 pub struct DeltaCorpus {
     corpus: Corpus,
-    base_len: usize,
-    base_fingerprint: u128,
-    /// `boundaries[g-1]` = total doc count after applying generation g.
-    boundaries: Vec<usize>,
-    /// `delta_fingerprints[g-1]` = content fingerprint of generation g's docs.
-    delta_fingerprints: Vec<u128>,
+    generation: Generation,
     /// Maintained document frequencies, always `vocab.len()` long.
     df: Vec<u32>,
 }
@@ -129,32 +122,22 @@ impl DeltaCorpus {
     /// Wrap `base` as generation 0.
     pub fn from_corpus(base: Corpus) -> Self {
         let df = base.doc_frequencies();
-        let base_len = base.len();
-        let base_fingerprint = base.fingerprint();
         DeltaCorpus {
             corpus: base,
-            base_len,
-            base_fingerprint,
-            boundaries: Vec::new(),
-            delta_fingerprints: Vec::new(),
+            generation: 0,
             df,
         }
     }
 
     /// The current generation (0 = base corpus, no deltas applied).
     pub fn generation(&self) -> Generation {
-        self.boundaries.len() as Generation
+        self.generation
     }
 
     /// The merged corpus: base documents followed by every applied delta's
     /// documents in generation order.
     pub fn corpus(&self) -> &Corpus {
         &self.corpus
-    }
-
-    /// Number of documents in the base (generation-0) corpus.
-    pub fn base_len(&self) -> usize {
-        self.base_len
     }
 
     /// Total number of documents across all applied generations.
@@ -165,43 +148,6 @@ impl DeltaCorpus {
     /// True when the merged corpus has no documents.
     pub fn is_empty(&self) -> bool {
         self.corpus.is_empty()
-    }
-
-    /// Doc-index range contributed by generation `g` (0 = the base corpus).
-    ///
-    /// Panics if `g` exceeds the current generation.
-    pub fn gen_range(&self, g: Generation) -> std::ops::Range<usize> {
-        assert!(
-            g <= self.generation(),
-            "generation {g} not yet applied (current: {})",
-            self.generation()
-        );
-        if g == 0 {
-            return 0..self.base_len;
-        }
-        let start = if g == 1 {
-            self.base_len
-        } else {
-            self.boundaries[g as usize - 2]
-        };
-        start..self.boundaries[g as usize - 1]
-    }
-
-    /// Content fingerprint of the generation-0 corpus.
-    pub fn base_fingerprint(&self) -> u128 {
-        self.base_fingerprint
-    }
-
-    /// Content fingerprint of generation `g`'s documents (`g >= 1`).
-    ///
-    /// Panics if `g` is 0 or exceeds the current generation.
-    pub fn delta_fingerprint(&self, g: Generation) -> u128 {
-        assert!(
-            g >= 1 && g <= self.generation(),
-            "no delta fingerprint for generation {g} (current: {})",
-            self.generation()
-        );
-        self.delta_fingerprints[g as usize - 1]
     }
 
     /// Stamp `docs` as the next applicable delta.
@@ -239,7 +185,7 @@ impl DeltaCorpus {
                 });
             }
         }
-        self.apply_validated(delta.docs, vocab_len);
+        self.apply_validated(delta.docs);
         Ok(self.generation())
     }
 
@@ -250,7 +196,6 @@ impl DeltaCorpus {
     /// first-occurrence order, exactly as a from-scratch tokenization of the
     /// concatenated text would assign ids.
     pub fn apply_text(&mut self, lines: &[String]) -> Generation {
-        let prev_vocab_len = self.corpus.vocab.len();
         let docs: Vec<Doc> = lines
             .iter()
             .map(|l| Doc::from_tokens(tokenize::encode_interning(l, &mut self.corpus.vocab)))
@@ -258,22 +203,12 @@ impl DeltaCorpus {
         // Interning grew the word table; grow `df` to match before folding
         // the new docs in (counts are bumped in `apply_validated`).
         self.df.resize(self.corpus.vocab.len(), 0);
-        self.apply_validated(docs, prev_vocab_len);
+        self.apply_validated(docs);
         self.generation()
     }
 
     /// Fold validated docs into the corpus and its maintained statistics.
-    /// `prev_vocab_len` is the vocabulary size before this delta interned
-    /// anything — words at ids `prev_vocab_len..` are the delta's own.
-    fn apply_validated(&mut self, docs: Vec<Doc>, prev_vocab_len: usize) {
-        // The delta fingerprint covers the docs *and* any words this delta
-        // introduced: token ids alone are ambiguous across vocabularies
-        // (two different new words can receive the same id).
-        let new_words: Vec<&str> = (prev_vocab_len..self.corpus.vocab.len())
-            .map(|i| self.corpus.vocab.word(i as TokenId))
-            .collect();
-        self.delta_fingerprints
-            .push(structmine_store::fingerprint_of(&(&docs, new_words)));
+    fn apply_validated(&mut self, docs: Vec<Doc>) {
         for doc in docs {
             for &t in &doc.tokens {
                 self.corpus.vocab.bump(t);
@@ -287,7 +222,7 @@ impl DeltaCorpus {
             }
             self.corpus.docs.push(doc);
         }
-        self.boundaries.push(self.corpus.len());
+        self.generation += 1;
     }
 
     /// Maintained document frequencies (same contract as
@@ -364,13 +299,11 @@ mod tests {
     }
 
     #[test]
-    fn gen_range_partitions_the_corpus() {
+    fn each_applied_delta_advances_one_generation() {
         let mut dc = DeltaCorpus::from_corpus(cold_build(BASE));
+        assert_eq!(dc.generation(), 0);
         dc.apply_text(&["one new doc".to_string()]);
         dc.apply_text(&["two".to_string(), "more docs".to_string()]);
-        assert_eq!(dc.gen_range(0), 0..2);
-        assert_eq!(dc.gen_range(1), 2..3);
-        assert_eq!(dc.gen_range(2), 3..5);
         assert_eq!(dc.generation(), 2);
         assert_eq!(dc.len(), 5);
     }
@@ -445,17 +378,5 @@ mod tests {
             by_tokens.corpus().fingerprint(),
             by_text.corpus().fingerprint()
         );
-    }
-
-    #[test]
-    fn delta_fingerprints_identify_content() {
-        let mut a = DeltaCorpus::from_corpus(cold_build(BASE));
-        let mut b = DeltaCorpus::from_corpus(cold_build(BASE));
-        a.apply_text(&["same delta".to_string()]);
-        b.apply_text(&["same delta".to_string()]);
-        assert_eq!(a.delta_fingerprint(1), b.delta_fingerprint(1));
-        let mut c = DeltaCorpus::from_corpus(cold_build(BASE));
-        c.apply_text(&["different delta".to_string()]);
-        assert_ne!(a.delta_fingerprint(1), c.delta_fingerprint(1));
     }
 }

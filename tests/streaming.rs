@@ -171,7 +171,12 @@ fn split_ingests_match_whole_ingest_across_thread_counts() {
         "the league fined the team after the match".to_string(),
         "the merger lifted the stock price".to_string(),
     ];
-    for method in [MethodKind::Match, MethodKind::XClass] {
+    for method in [
+        MethodKind::Match,
+        MethodKind::XClass,
+        MethodKind::LotClass,
+        MethodKind::Prompt,
+    ] {
         let split = serving_engine(method, 1);
         let whole = serving_engine(method, 4);
         let baseline = whole
