@@ -9,7 +9,7 @@
 //! `cargo bench --no-run`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use structmine_linalg::{rng, Matrix};
+use structmine_linalg::{rng, ExecPolicy, Matrix, Precision, Rhs};
 
 fn random_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
     let mut r = rng::seeded(seed);
@@ -71,10 +71,12 @@ fn bench_kernels(c: &mut Criterion) {
     });
 
     // One matmul into a caller buffer: isolates the allocation saving.
+    let exact = ExecPolicy::global().with_precision(Precision::Exact);
+    let fast = exact.with_precision(Precision::Fast);
     let mut out = Matrix::zeros(a_med.rows(), b_med.cols());
     group.bench_function("blocked_medium_into", |b| {
         b.iter(|| {
-            a_med.matmul_into(&b_med, &mut out);
+            a_med.matmul_into(Rhs::Dense(&b_med), &exact, &mut out);
             black_box(out.get(0, 0))
         })
     });
@@ -86,7 +88,7 @@ fn bench_kernels(c: &mut Criterion) {
     let packed_med = structmine_linalg::PackedMatrix::pack(&b_med);
     group.bench_function("prepacked_medium_into", |b| {
         b.iter(|| {
-            a_med.matmul_prepacked_into(&packed_med, &mut out);
+            a_med.matmul_into(Rhs::Packed(&packed_med), &exact, &mut out);
             black_box(out.get(0, 0))
         })
     });
@@ -94,7 +96,7 @@ fn bench_kernels(c: &mut Criterion) {
     // SSE2 tile (branch-free, no sparse-row skip).
     group.bench_function("prepacked_fast_medium_into", |b| {
         b.iter(|| {
-            a_med.matmul_prepacked_fast_into(&packed_med, &mut out);
+            a_med.matmul_into(Rhs::Packed(&packed_med), &fast, &mut out);
             black_box(out.get(0, 0))
         })
     });

@@ -16,7 +16,7 @@ fn bench_substrates(c: &mut Criterion) {
     let d = recipes::agnews(SCALE, 1).unwrap();
     let doc = &d.corpus.docs[0].tokens;
     c.bench_function("plm_encode_one_doc", |b| {
-        b.iter(|| std::hint::black_box(plm.mean_embed(doc)))
+        b.iter(|| std::hint::black_box(plm.mean_embed(doc, structmine_linalg::Precision::Exact)))
     });
     c.bench_function("sgns_train_small", |b| {
         b.iter(|| {

@@ -17,7 +17,7 @@
 use crate::common;
 use structmine_embed::WordVectors;
 use structmine_linalg::exec::{par_map_chunks, ExecPolicy};
-use structmine_linalg::{vector, Matrix};
+use structmine_linalg::{vector, Matrix, Precision};
 use structmine_plm::MiniPlm;
 use structmine_text::tfidf::{sparse_cosine, TfIdf};
 use structmine_text::vocab::TokenId;
@@ -76,7 +76,7 @@ pub fn bert_simple_match(dataset: &Dataset, plm: &MiniPlm) -> Vec<usize> {
     let names = dataset.label_name_tokens();
     let mut prototypes = Matrix::zeros(names.len(), plm.config.d_model);
     for (c, name) in names.iter().enumerate() {
-        let v = plm.mean_embed(name);
+        let v = plm.mean_embed(name, Precision::Exact);
         prototypes.row_mut(c).copy_from_slice(&v);
     }
     let features = common::plm_features(dataset, plm);

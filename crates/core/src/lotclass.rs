@@ -600,6 +600,7 @@ pub fn replacement_demo(
 mod tests {
     use super::*;
     use structmine_eval::accuracy;
+    use structmine_linalg::Precision;
     use structmine_plm::cache::{pretrained, Tier};
     use structmine_text::synth::recipes;
 
@@ -696,7 +697,7 @@ mod tests {
         let model = cfg.fit_model(&d, &plm);
         assert_eq!(model.n_classes(), d.n_classes());
         for (i, doc) in d.corpus.docs.iter().enumerate() {
-            let probs = model.predict_proba(&plm.mean_embed(&doc.tokens));
+            let probs = model.predict_proba(&plm.mean_embed(&doc.tokens, Precision::Exact));
             let pred = vector::argmax(&probs).unwrap_or(0);
             assert_eq!(
                 pred, out.predictions[i],

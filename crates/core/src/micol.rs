@@ -18,7 +18,7 @@
 use crate::common;
 use rand::Rng;
 use structmine_linalg::exec::{par_map_chunks, ExecPolicy};
-use structmine_linalg::{rng as lrng, vector, Matrix};
+use structmine_linalg::{rng as lrng, vector, Matrix, Precision};
 use structmine_nn::classifiers::{MlpClassifier, TrainConfig};
 use structmine_nn::graph::Graph;
 use structmine_nn::params::{Adam, Binding, ParamStore};
@@ -223,7 +223,7 @@ pub fn label_features(dataset: &Dataset, plm: &MiniPlm) -> Matrix {
 /// [`label_features`] under an explicit execution policy.
 pub fn label_features_with(dataset: &Dataset, plm: &MiniPlm, policy: &ExecPolicy) -> Matrix {
     let hyps = crate::taxoclass::class_hypotheses(dataset);
-    let rows = par_map_chunks(policy, &hyps, |_, h| plm.mean_embed(h));
+    let rows = par_map_chunks(policy, &hyps, |_, h| plm.mean_embed(h, Precision::Exact));
     let refs: Vec<&[f32]> = rows.iter().map(|r| r.as_slice()).collect();
     Matrix::from_rows(&refs)
 }
@@ -454,7 +454,7 @@ pub fn augmentation_contrastive_ranking(
         })
         .collect();
     let aug_rows = par_map_chunks(ExecPolicy::global(), &corrupted, |_, toks| {
-        plm.mean_embed(toks)
+        plm.mean_embed(toks, Precision::Exact)
     });
     for (i, row) in aug_rows.iter().enumerate() {
         aug.row_mut(i).copy_from_slice(row);

@@ -219,9 +219,7 @@ impl PromptClass {
         let rows = par_map_chunks(&self.exec, &dataset.corpus.docs, |_, doc| {
             match self.style {
                 PromptStyle::Mlm => prompt::cloze_label_scores(plm, &doc.tokens, &names, vocab),
-                PromptStyle::Rtd => {
-                    prompt::rtd_label_scores_prec(plm, &doc.tokens, &names, vocab, prec)
-                }
+                PromptStyle::Rtd => prompt::rtd_label_scores(plm, &doc.tokens, &names, vocab, prec),
             }
             // Unreachable: templates were validated above.
             .unwrap_or_else(|_| vec![0.0; names.len()])

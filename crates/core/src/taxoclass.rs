@@ -16,7 +16,7 @@
 use crate::common;
 use crate::error::MethodError;
 use structmine_linalg::exec::{par_map_chunks, ExecPolicy};
-use structmine_linalg::{vector, Matrix};
+use structmine_linalg::{vector, Matrix, Precision};
 use structmine_nn::graph::Graph;
 use structmine_nn::params::{Adam, Binding, ParamStore};
 use structmine_plm::MiniPlm;
@@ -280,7 +280,10 @@ fn top_down_search(
                     .iter()
                     .map(|&ch| {
                         let c = class_of_node(ch);
-                        (ch, plm.nli_entail_prob(&doc.tokens, &hypotheses[c]))
+                        (
+                            ch,
+                            plm.nli_entail_prob(&doc.tokens, &hypotheses[c], Precision::Exact),
+                        )
                     })
                     .collect();
                 scored.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));

@@ -754,7 +754,9 @@ impl Engine {
                 let plm = self.plm_ref()?;
                 let mut prototypes = Matrix::zeros(self.name_tokens.len(), plm.config.d_model);
                 for (c, name) in self.name_tokens.iter().enumerate() {
-                    prototypes.row_mut(c).copy_from_slice(&plm.mean_embed(name));
+                    prototypes
+                        .row_mut(c)
+                        .copy_from_slice(&plm.mean_embed(name, Precision::Exact));
                 }
                 ServeModel::Match { prototypes }
             }
@@ -803,7 +805,7 @@ impl Engine {
                 let n_classes = self.name_tokens.len();
                 par_map_chunks(&self.exec, docs, |_, toks| {
                     sharpened_softmax(
-                        structmine_plm::prompt::rtd_label_scores_prec(
+                        structmine_plm::prompt::rtd_label_scores(
                             plm,
                             toks,
                             &self.name_tokens,

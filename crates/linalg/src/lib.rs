@@ -27,5 +27,5 @@ pub mod stats;
 pub mod vector;
 
 pub use exec::{ExecPolicy, Precision};
-pub use matrix::{Matrix, PackedMatrix};
+pub use matrix::{Matrix, PackedMatrix, Rhs};
 pub use pca::Pca;

@@ -6,8 +6,11 @@
 //!
 //! # Matmul kernel
 //!
-//! `matmul`/`matmul_t` share one blocked kernel: the right-hand operand is
-//! packed once per call into contiguous panels of [`NR`] output columns,
+//! Every product goes through [`Matrix::matmul_into`], which takes the
+//! right-hand operand as an [`Rhs`] and picks the kernel from the
+//! policy's precision and the shape. The blocked kernel packs the
+//! right-hand operand (once per call, or ahead of time as a
+//! [`PackedMatrix`]) into contiguous panels of [`NR`] output columns,
 //! then output rows are produced [`MR`] at a time by a register-tiled
 //! micro-kernel that keeps an `MR x NR` accumulator tile live while
 //! streaming the panel, giving `MR` independent fused-multiply-add chains
@@ -62,11 +65,24 @@ fn with_pack_scratch<R>(f: impl FnOnce(&mut Vec<f32>) -> R) -> R {
 /// (`k x n`) is packed in `NR`-column panels. Panels are the outer loop so
 /// one panel (`k * NR` floats) stays in L1 while it is swept across every
 /// `MR`-row register tile of the block. Every output element remains an
-/// ascending-`k` sum in its own accumulator, zero `a` terms skipped — the
-/// exact summation order of the naive kernel — so row grouping changes
-/// instruction interleaving but never output bits.
+/// ascending-`k` sum in its own accumulator — the exact summation order of
+/// the naive kernel — so row grouping changes instruction interleaving but
+/// never output bits.
+///
+/// `SKIP_ZEROS` is the Exact tier's `a == 0.0` skip. Without it this is
+/// the portable Fast-tier kernel, the scalar twin of the SSE2 tile in
+/// [`crate::simd`]: a straight multiply-add sweep with no data-dependent
+/// branch, which can differ from Exact in the last bits because zero
+/// left-hand contributions (and `-0.0`/NaN propagation through them) are
+/// no longer skipped.
 #[inline]
-fn packed_block_kernel(a_block: &[f32], k: usize, packed: &[f32], n: usize, out: &mut [f32]) {
+pub(crate) fn packed_block_kernel<const SKIP_ZEROS: bool>(
+    a_block: &[f32],
+    k: usize,
+    packed: &[f32],
+    n: usize,
+    out: &mut [f32],
+) {
     debug_assert!(k > 0 && n > 0);
     let rows = a_block.len() / k;
     let mut panel_start = 0;
@@ -85,7 +101,7 @@ fn packed_block_kernel(a_block: &[f32], k: usize, packed: &[f32], n: usize, out:
                     let b = &panel[kk * NR..kk * NR + NR];
                     for (r, acc_r) in acc.iter_mut().enumerate() {
                         let a = a_block[(r0 + r) * k + kk];
-                        if a == 0.0 {
+                        if SKIP_ZEROS && a == 0.0 {
                             continue;
                         }
                         for (o, &bv) in acc_r.iter_mut().zip(b) {
@@ -104,7 +120,7 @@ fn packed_block_kernel(a_block: &[f32], k: usize, packed: &[f32], n: usize, out:
                     let a_row = &a_block[r * k..(r + 1) * k];
                     let mut acc = [0.0f32; NR];
                     for (kk, &a) in a_row.iter().enumerate() {
-                        if a == 0.0 {
+                        if SKIP_ZEROS && a == 0.0 {
                             continue;
                         }
                         let b = &panel[kk * w..kk * w + w];
@@ -120,15 +136,6 @@ fn packed_block_kernel(a_block: &[f32], k: usize, packed: &[f32], n: usize, out:
         panel_start += k * w;
         j0 += w;
     }
-}
-
-/// [`packed_block_kernel`] without the `a == 0.0` skip, for the Fast
-/// precision tier: runtime-dispatched between an explicit SSE2 tile and
-/// a portable scalar twin — see [`crate::simd`] for both implementations
-/// and the guarantees the Fast tier does (and does not) keep.
-#[inline]
-fn packed_block_kernel_fast(a_block: &[f32], k: usize, packed: &[f32], n: usize, out: &mut [f32]) {
-    crate::simd::packed_block_kernel_fast(a_block, k, packed, n, out);
 }
 
 /// Pack a logical `k x n` right-hand operand into `NR`-column panels, each
@@ -161,6 +168,49 @@ fn pack_panels(
     structmine_store::obs::counter_add("linalg.pack_panels", panels);
 }
 
+/// Pack `b` as the logical right operand `B` (`k x n`), or, when
+/// `transposed`, pack `b` (`n x k`) as `Bᵀ`. Transposed packing
+/// interleaves `NR` rows of `b` per panel, so the micro-kernel reads one
+/// contiguous `NR`-vector per `k` step either way.
+fn pack_dense(packed: &mut Vec<f32>, b: &Matrix, transposed: bool) {
+    if transposed {
+        let (n, k) = b.shape();
+        pack_panels(packed, n, k, |kk, j0, _w, dst| {
+            for (jj, d) in dst.iter_mut().enumerate() {
+                *d = b.data[(j0 + jj) * k + kk];
+            }
+        });
+    } else {
+        let (k, n) = b.shape();
+        pack_panels(packed, n, k, |kk, j0, w, dst| {
+            dst.copy_from_slice(&b.data[kk * n + j0..kk * n + j0 + w]);
+        });
+    }
+}
+
+/// The right-hand operand of [`Matrix::matmul_into`].
+#[derive(Clone, Copy, Debug)]
+pub enum Rhs<'a> {
+    /// `self · B`, with `B` (`k x n`) given row-major.
+    Dense(&'a Matrix),
+    /// `self · Bᵀ`, with `B` (`n x k`) given row-major; the transpose is
+    /// never materialized.
+    DenseT(&'a Matrix),
+    /// `self · B`, with `B` pre-packed into panels (either orientation).
+    Packed(&'a PackedMatrix),
+}
+
+impl Rhs<'_> {
+    /// `(k, n)`: the inner dimension and the product's column count.
+    fn dims(&self) -> (usize, usize) {
+        match *self {
+            Rhs::Dense(b) => (b.rows, b.cols),
+            Rhs::DenseT(b) => (b.cols, b.rows),
+            Rhs::Packed(p) => (p.k, p.n),
+        }
+    }
+}
+
 /// A right-hand matmul operand pre-packed, once, into the blocked
 /// kernel's [`NR`]-column panel layout (DESIGN §14).
 ///
@@ -168,7 +218,8 @@ fn pack_panels(
 /// inference weights — frozen after `Engine::load` — that pass is pure
 /// waste on the serving hot path. A `PackedMatrix` is exactly the panel
 /// buffer `pack_panels` would have produced, built ahead of time, so
-/// [`Matrix::matmul_prepacked_into`] skips straight to the micro-kernel.
+/// [`Matrix::matmul_into`] with [`Rhs::Packed`] skips straight to the
+/// micro-kernel.
 /// Because the panel bytes are a pure function of the operand (packing
 /// always happens before any row parallelism) and the kernel consumes
 /// them identically, the Exact prepacked product is **bitwise identical**
@@ -193,48 +244,36 @@ pub struct PackedMatrix {
 }
 
 impl PackedMatrix {
-    /// Pack `rhs` (`k x n`) for use as the right operand of
-    /// [`Matrix::matmul_prepacked_into`] — the prepacked analogue of
-    /// `matmul(_, rhs)`. Counts one `linalg.prepack.builds`.
+    /// Pack `rhs` (`k x n`) for use as [`Rhs::Packed`] — the prepacked
+    /// analogue of [`Rhs::Dense`]. Counts one `linalg.prepack.builds`.
     pub fn pack(rhs: &Matrix) -> Self {
-        let (k, n) = rhs.shape();
-        let mut panels = Vec::new();
-        if k > 0 && n > 0 {
-            pack_panels(&mut panels, n, k, |kk, j0, w, dst| {
-                dst.copy_from_slice(&rhs.data[kk * n + j0..kk * n + j0 + w]);
-            });
-        }
-        structmine_store::obs::counter_add("linalg.prepack.builds", 1);
-        Self {
-            k,
-            n,
-            transposed: false,
-            panels,
-            fingerprint: Self::fingerprint_of(rhs, false),
-        }
+        Self::build(rhs, false)
     }
 
-    /// Pack `rhs` (`n x k`) as its transpose, for use as the right
-    /// operand of [`Matrix::matmul_prepacked_into`] wherever the per-call
-    /// code would have used `matmul_t(_, rhs)` (e.g. the tied embedding
-    /// table). Counts one `linalg.prepack.builds`.
+    /// Pack `rhs` (`n x k`) as its transpose, for use as [`Rhs::Packed`]
+    /// wherever the per-call code would have used [`Rhs::DenseT`] (e.g. the
+    /// tied embedding table). Counts one `linalg.prepack.builds`.
     pub fn pack_transposed(rhs: &Matrix) -> Self {
-        let (n, k) = rhs.shape();
+        Self::build(rhs, true)
+    }
+
+    fn build(rhs: &Matrix, transposed: bool) -> Self {
+        let (k, n) = if transposed {
+            Rhs::DenseT(rhs).dims()
+        } else {
+            Rhs::Dense(rhs).dims()
+        };
         let mut panels = Vec::new();
         if k > 0 && n > 0 {
-            pack_panels(&mut panels, n, k, |kk, j0, _w, dst| {
-                for (jj, d) in dst.iter_mut().enumerate() {
-                    *d = rhs.data[(j0 + jj) * k + kk];
-                }
-            });
+            pack_dense(&mut panels, rhs, transposed);
         }
         structmine_store::obs::counter_add("linalg.prepack.builds", 1);
         Self {
             k,
             n,
-            transposed: true,
+            transposed,
             panels,
-            fingerprint: Self::fingerprint_of(rhs, true),
+            fingerprint: Self::fingerprint_of(rhs, transposed),
         }
     }
 
@@ -411,353 +450,168 @@ impl Matrix {
         self.data.chunks_exact(self.cols.max(1))
     }
 
-    /// Row count above which `matmul`/`matmul_t` go through the parallel
-    /// executor. Each output row is still computed by exactly one thread
-    /// with the serial inner loops, so results are bitwise identical to the
-    /// serial path for any thread count. Below the threshold the kernel
-    /// runs serially regardless of policy — a function of shape only, so
-    /// runs at different thread counts execute (and count) identically.
+    /// Row count above which [`Matrix::matmul_into`] goes through the
+    /// parallel executor. Each output row is still computed by exactly one
+    /// thread with the serial inner loops, so results are bitwise identical
+    /// to the serial path for any thread count. Below the threshold the
+    /// kernel runs serially regardless of policy — a function of shape
+    /// only, so runs at different thread counts execute (and count)
+    /// identically.
     const PAR_ROW_THRESHOLD: usize = 64;
 
-    /// Matrix product `self * rhs`, under the process-global
-    /// [`ExecPolicy`](crate::ExecPolicy) for large left operands.
+    /// Matrix product `self * rhs` at Exact precision, with the thread
+    /// count of the process-global [`ExecPolicy`](crate::ExecPolicy).
+    /// Always Exact, whatever `STRUCTMINE_PRECISION` holds: fitting code
+    /// calls this, and must not inherit a serving process's Fast tier.
     ///
     /// # Panics
     /// Panics if `self.cols != rhs.rows`.
     pub fn matmul(&self, rhs: &Matrix) -> Matrix {
-        self.matmul_with(rhs, crate::ExecPolicy::global())
+        self.exact_product(Rhs::Dense(rhs))
     }
 
-    /// Matrix product `self * rhs` under an explicit execution policy.
-    pub fn matmul_with(&self, rhs: &Matrix, policy: &crate::ExecPolicy) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
-        self.matmul_into_with(rhs, policy, &mut out);
+    /// Matrix product `self * rhs^T` without materializing the transpose;
+    /// Exact, like [`Matrix::matmul`].
+    pub fn matmul_t(&self, rhs: &Matrix) -> Matrix {
+        self.exact_product(Rhs::DenseT(rhs))
+    }
+
+    fn exact_product(&self, rhs: Rhs<'_>) -> Matrix {
+        let policy = crate::ExecPolicy::global().with_precision(crate::Precision::Exact);
+        let mut out = Matrix::zeros(self.rows, rhs.dims().1);
+        self.matmul_into(rhs, &policy, &mut out);
         out
     }
 
     /// Matrix product `self * rhs` written into a caller-provided matrix
-    /// (fully overwritten; prior contents are irrelevant). Lets arena-style
-    /// callers reuse output storage across steps.
+    /// (fully overwritten; prior contents are irrelevant) — the one entry
+    /// point every product goes through. The policy's thread count splits
+    /// the output rows; its [`Precision`](crate::Precision) picks the
+    /// kernel: Exact keeps the `a == 0.0` skip and is bitwise reproducible,
+    /// Fast runs the branch-free SIMD-dispatched kernel, which is *not*
+    /// bit-compatible with Exact (training never asks for it).
+    ///
+    /// A dense operand is packed into panels on every call once the left
+    /// operand has enough rows to amortize it; a [`Rhs::Packed`] operand
+    /// always takes the packed kernel and counts one
+    /// `linalg.prepack.hits`. At either tier the packed kernel and the
+    /// small-row fallback share one per-element summation order, so the
+    /// output bits depend only on the tier, never on the operand form
+    /// (`Dense`, `DenseT` or `Packed`) or the thread count.
     ///
     /// # Panics
-    /// Panics if `self.cols != rhs.rows` or `out.shape() != (self.rows, rhs.cols)`.
-    pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
-        self.matmul_into_with(rhs, crate::ExecPolicy::global(), out);
+    /// Panics if `self.cols` differs from the operand's inner dimension or
+    /// `out.shape()` is not `(self.rows, n)`.
+    pub fn matmul_into(&self, rhs: Rhs<'_>, policy: &crate::ExecPolicy, out: &mut Matrix) {
+        match policy.precision() {
+            crate::Precision::Exact => self.tier_product::<true>(rhs, policy, out),
+            crate::Precision::Fast => self.tier_product::<false>(rhs, policy, out),
+        }
     }
 
-    /// [`Matrix::matmul_into`] under an explicit execution policy.
-    pub fn matmul_into_with(&self, rhs: &Matrix, policy: &crate::ExecPolicy, out: &mut Matrix) {
+    /// [`Matrix::matmul_into`] at one tier; `EXACT` is the `a == 0.0` skip.
+    fn tier_product<const EXACT: bool>(
+        &self,
+        rhs: Rhs<'_>,
+        policy: &crate::ExecPolicy,
+        out: &mut Matrix,
+    ) {
+        let (k, n) = rhs.dims();
         assert_eq!(
-            self.cols, rhs.rows,
+            self.cols, k,
             "matmul shape mismatch: {}x{} * {}x{}",
-            self.rows, self.cols, rhs.rows, rhs.cols
+            self.rows, self.cols, k, n
         );
-        assert_eq!(
-            out.shape(),
-            (self.rows, rhs.cols),
-            "matmul output shape mismatch"
-        );
-        let n = rhs.cols;
-        if self.rows >= PACK_MIN_ROWS && self.cols > 0 && n > 0 {
-            with_pack_scratch(|packed| {
-                pack_panels(packed, n, self.cols, |kk, j0, w, dst| {
-                    dst.copy_from_slice(&rhs.data[kk * n + j0..kk * n + j0 + w]);
-                });
-                let k = self.cols;
-                Self::fill_row_blocks(policy, self.rows, n, &mut out.data, |start, block| {
-                    let h = block.len() / n;
-                    packed_block_kernel(
-                        &self.data[start * k..(start + h) * k],
-                        k,
-                        packed,
-                        n,
-                        block,
-                    );
-                });
+        assert_eq!(out.shape(), (self.rows, n), "matmul output shape mismatch");
+        let packed_product = |panels: &[f32], out: &mut [f32]| {
+            Self::fill_row_blocks(policy, self.rows, n, out, |start, block| {
+                let a_block = &self.data[start * k..(start + block.len() / n) * k];
+                if EXACT {
+                    packed_block_kernel::<true>(a_block, k, panels, n, block);
+                } else {
+                    crate::simd::packed_block_kernel_fast(a_block, k, panels, n, block);
+                }
             });
-        } else {
+        };
+        match rhs {
+            Rhs::Packed(packed) => {
+                structmine_store::obs::counter_add("linalg.prepack.hits", 1);
+                if k == 0 {
+                    // Empty inner dimension: the product is all zeros (same
+                    // +0.0 the per-call fallback writes).
+                    out.data.fill(0.0);
+                } else {
+                    packed_product(&packed.panels, &mut out.data);
+                }
+            }
+            Rhs::Dense(b) | Rhs::DenseT(b) if self.rows >= PACK_MIN_ROWS && k > 0 && n > 0 => {
+                with_pack_scratch(|panels| {
+                    pack_dense(panels, b, matches!(rhs, Rhs::DenseT(_)));
+                    packed_product(panels, &mut out.data);
+                });
+            }
             // Too few rows to amortize packing: i-k-j loops straight over
-            // `rhs` rows. Same per-element summation order as the packed
+            // `b` rows. Same per-element summation order as the packed
             // kernel, so the two paths agree bitwise.
-            Self::fill_rows(policy, self.rows, n, &mut out.data, |i, out_row| {
+            Rhs::Dense(b) => Self::fill_rows(policy, self.rows, n, &mut out.data, |i, out_row| {
                 out_row.fill(0.0);
-                for (k, &a) in self.row(i).iter().enumerate() {
-                    if a == 0.0 {
+                for (kk, &a) in self.row(i).iter().enumerate() {
+                    if EXACT && a == 0.0 {
                         continue;
                     }
-                    let b_row = &rhs.data[k * n..(k + 1) * n];
-                    for (o, &b) in out_row.iter_mut().zip(b_row) {
-                        *o += a * b;
+                    for (o, &bv) in out_row.iter_mut().zip(b.row(kk)) {
+                        *o += a * bv;
                     }
                 }
-            });
-        }
-    }
-
-    /// Fast-tier matrix product `self * rhs` (see
-    /// [`Precision::Fast`](crate::exec::Precision::Fast)): same tiling and
-    /// parallel split as [`Matrix::matmul_into`], but the branch-free
-    /// kernel without the `a == 0.0` skip, so output is *not* bit-compatible
-    /// with the exact path. Never called by training code — only
-    /// Fast-precision inference graphs select it.
-    pub fn matmul_into_fast(&self, rhs: &Matrix, out: &mut Matrix) {
-        self.matmul_into_fast_with(rhs, crate::ExecPolicy::global(), out);
-    }
-
-    /// [`Matrix::matmul_into_fast`] under an explicit execution policy.
-    pub fn matmul_into_fast_with(
-        &self,
-        rhs: &Matrix,
-        policy: &crate::ExecPolicy,
-        out: &mut Matrix,
-    ) {
-        assert_eq!(
-            self.cols, rhs.rows,
-            "matmul shape mismatch: {}x{} * {}x{}",
-            self.rows, self.cols, rhs.rows, rhs.cols
-        );
-        assert_eq!(
-            out.shape(),
-            (self.rows, rhs.cols),
-            "matmul output shape mismatch"
-        );
-        let n = rhs.cols;
-        if self.rows >= PACK_MIN_ROWS && self.cols > 0 && n > 0 {
-            with_pack_scratch(|packed| {
-                pack_panels(packed, n, self.cols, |kk, j0, w, dst| {
-                    dst.copy_from_slice(&rhs.data[kk * n + j0..kk * n + j0 + w]);
-                });
-                let k = self.cols;
-                Self::fill_row_blocks(policy, self.rows, n, &mut out.data, |start, block| {
-                    let h = block.len() / n;
-                    packed_block_kernel_fast(
-                        &self.data[start * k..(start + h) * k],
-                        k,
-                        packed,
-                        n,
-                        block,
-                    );
-                });
-            });
-        } else {
-            Self::fill_rows(policy, self.rows, n, &mut out.data, |i, out_row| {
-                out_row.fill(0.0);
-                for (k, &a) in self.row(i).iter().enumerate() {
-                    let b_row = &rhs.data[k * n..(k + 1) * n];
-                    for (o, &b) in out_row.iter_mut().zip(b_row) {
-                        *o += a * b;
-                    }
-                }
-            });
-        }
-    }
-
-    /// Matrix product `self * rhs^T`. Avoids materializing the transpose.
-    /// Parallel above the same row threshold as [`Matrix::matmul`].
-    pub fn matmul_t(&self, rhs: &Matrix) -> Matrix {
-        self.matmul_t_with(rhs, crate::ExecPolicy::global())
-    }
-
-    /// Matrix product `self * rhs^T` under an explicit execution policy.
-    pub fn matmul_t_with(&self, rhs: &Matrix, policy: &crate::ExecPolicy) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, rhs.rows);
-        self.matmul_t_into_with(rhs, policy, &mut out);
-        out
-    }
-
-    /// Matrix product `self * rhs^T` written into a caller-provided matrix
-    /// (fully overwritten; prior contents are irrelevant).
-    ///
-    /// # Panics
-    /// Panics if `self.cols != rhs.cols` or `out.shape() != (self.rows, rhs.rows)`.
-    pub fn matmul_t_into(&self, rhs: &Matrix, out: &mut Matrix) {
-        self.matmul_t_into_with(rhs, crate::ExecPolicy::global(), out);
-    }
-
-    /// [`Matrix::matmul_t_into`] under an explicit execution policy.
-    pub fn matmul_t_into_with(&self, rhs: &Matrix, policy: &crate::ExecPolicy, out: &mut Matrix) {
-        assert_eq!(self.cols, rhs.cols, "matmul_t shape mismatch");
-        assert_eq!(
-            out.shape(),
-            (self.rows, rhs.rows),
-            "matmul_t output shape mismatch"
-        );
-        let n = rhs.rows;
-        let k = self.cols;
-        if self.rows >= PACK_MIN_ROWS && k > 0 && n > 0 {
-            with_pack_scratch(|packed| {
-                // Packing interleaves `NR` rhs rows per panel, so the
-                // micro-kernel reads one contiguous NR-vector per k step.
-                pack_panels(packed, n, k, |kk, j0, _w, dst| {
-                    for (jj, d) in dst.iter_mut().enumerate() {
-                        *d = rhs.data[(j0 + jj) * k + kk];
-                    }
-                });
-                Self::fill_row_blocks(policy, self.rows, n, &mut out.data, |start, block| {
-                    let h = block.len() / n;
-                    packed_block_kernel(
-                        &self.data[start * k..(start + h) * k],
-                        k,
-                        packed,
-                        n,
-                        block,
-                    );
-                });
-            });
-        } else {
-            Self::fill_rows(policy, self.rows, n, &mut out.data, |i, out_row| {
+            }),
+            Rhs::DenseT(b) => Self::fill_rows(policy, self.rows, n, &mut out.data, |i, out_row| {
                 let a_row = self.row(i);
                 for (j, o) in out_row.iter_mut().enumerate() {
                     let mut acc = 0.0f32;
-                    for (&a, &b) in a_row.iter().zip(rhs.row(j)) {
-                        if a == 0.0 {
+                    for (&a, &bv) in a_row.iter().zip(b.row(j)) {
+                        if EXACT && a == 0.0 {
                             continue;
                         }
-                        acc += a * b;
+                        acc += a * bv;
                     }
                     *o = acc;
                 }
-            });
+            }),
         }
     }
 
-    /// Fast-tier matrix product `self * rhs^T`: the transposed analogue of
-    /// [`Matrix::matmul_into_fast`], with the same dropped guarantees.
-    pub fn matmul_t_into_fast(&self, rhs: &Matrix, out: &mut Matrix) {
-        self.matmul_t_into_fast_with(rhs, crate::ExecPolicy::global(), out);
-    }
-
-    /// [`Matrix::matmul_t_into_fast`] under an explicit execution policy.
-    pub fn matmul_t_into_fast_with(
-        &self,
-        rhs: &Matrix,
-        policy: &crate::ExecPolicy,
-        out: &mut Matrix,
-    ) {
-        assert_eq!(self.cols, rhs.cols, "matmul_t shape mismatch");
-        assert_eq!(
-            out.shape(),
-            (self.rows, rhs.rows),
-            "matmul_t output shape mismatch"
-        );
-        let n = rhs.rows;
-        let k = self.cols;
-        if self.rows >= PACK_MIN_ROWS && k > 0 && n > 0 {
-            with_pack_scratch(|packed| {
-                pack_panels(packed, n, k, |kk, j0, _w, dst| {
-                    for (jj, d) in dst.iter_mut().enumerate() {
-                        *d = rhs.data[(j0 + jj) * k + kk];
-                    }
-                });
-                Self::fill_row_blocks(policy, self.rows, n, &mut out.data, |start, block| {
-                    let h = block.len() / n;
-                    packed_block_kernel_fast(
-                        &self.data[start * k..(start + h) * k],
-                        k,
-                        packed,
-                        n,
-                        block,
-                    );
-                });
-            });
-        } else {
-            Self::fill_rows(policy, self.rows, n, &mut out.data, |i, out_row| {
-                let a_row = self.row(i);
-                for (j, o) in out_row.iter_mut().enumerate() {
-                    let mut acc = 0.0f32;
-                    for (&a, &b) in a_row.iter().zip(rhs.row(j)) {
-                        acc += a * b;
-                    }
-                    *o = acc;
-                }
-            });
-        }
-    }
-
-    /// Matrix product `self * B` where `B` arrives pre-packed as a
-    /// [`PackedMatrix`] (either orientation — packing normalizes both to
-    /// the same panel layout). **Bitwise identical** to
-    /// [`Matrix::matmul_into`] (resp. [`Matrix::matmul_t_into`] for a
-    /// transposed pack) for every shape and thread count: the packed
-    /// kernel and the small-row fallback share one per-element summation
-    /// order, so this path may use the packed kernel unconditionally.
-    /// Counts one `linalg.prepack.hits`.
-    ///
-    /// # Panics
-    /// Panics if `self.cols != packed.k()` or
-    /// `out.shape() != (self.rows, packed.n())`.
-    pub fn matmul_prepacked_into(&self, packed: &PackedMatrix, out: &mut Matrix) {
-        self.matmul_prepacked_into_with(packed, crate::ExecPolicy::global(), out);
-    }
-
-    /// [`Matrix::matmul_prepacked_into`] under an explicit execution policy.
+    /// [`Matrix::matmul_into`] with [`Rhs::Packed`] at Exact precision.
+    /// A one-line forward kept for the benchmark package (`structbench/`),
+    /// which builds against this crate's public API.
     pub fn matmul_prepacked_into_with(
         &self,
         packed: &PackedMatrix,
         policy: &crate::ExecPolicy,
         out: &mut Matrix,
     ) {
-        self.prepacked_dispatch(packed, policy, out, packed_block_kernel);
+        self.matmul_into(
+            Rhs::Packed(packed),
+            &policy.with_precision(crate::Precision::Exact),
+            out,
+        );
     }
 
-    /// Fast-tier prepacked product: [`Matrix::matmul_prepacked_into`]
-    /// with the branch-free SIMD-dispatched kernel, i.e. the prepacked
-    /// analogue of [`Matrix::matmul_into_fast`] (bit-compatibility with
-    /// the Exact tier is documented away, agreement is bounded by the
-    /// Fast tier's tolerance harness). Counts one `linalg.prepack.hits`.
-    pub fn matmul_prepacked_fast_into(&self, packed: &PackedMatrix, out: &mut Matrix) {
-        self.matmul_prepacked_fast_into_with(packed, crate::ExecPolicy::global(), out);
-    }
-
-    /// [`Matrix::matmul_prepacked_fast_into`] under an explicit execution
-    /// policy.
+    /// [`Matrix::matmul_into`] with [`Rhs::Packed`] at Fast precision; the
+    /// Fast twin of [`Matrix::matmul_prepacked_into_with`].
     pub fn matmul_prepacked_fast_into_with(
         &self,
         packed: &PackedMatrix,
         policy: &crate::ExecPolicy,
         out: &mut Matrix,
     ) {
-        self.prepacked_dispatch(packed, policy, out, packed_block_kernel_fast);
+        self.matmul_into(
+            Rhs::Packed(packed),
+            &policy.with_precision(crate::Precision::Fast),
+            out,
+        );
     }
 
-    fn prepacked_dispatch(
-        &self,
-        packed: &PackedMatrix,
-        policy: &crate::ExecPolicy,
-        out: &mut Matrix,
-        kernel: fn(&[f32], usize, &[f32], usize, &mut [f32]),
-    ) {
-        assert_eq!(
-            self.cols, packed.k,
-            "prepacked matmul shape mismatch: {}x{} * packed {}x{}",
-            self.rows, self.cols, packed.k, packed.n
-        );
-        assert_eq!(
-            out.shape(),
-            (self.rows, packed.n),
-            "prepacked matmul output shape mismatch"
-        );
-        structmine_store::obs::counter_add("linalg.prepack.hits", 1);
-        let (k, n) = (packed.k, packed.n);
-        if k == 0 {
-            // Empty inner dimension: the product is all zeros (same +0.0
-            // the per-call fallback writes).
-            out.data.fill(0.0);
-            return;
-        }
-        Self::fill_row_blocks(policy, self.rows, n, &mut out.data, |start, block| {
-            let h = block.len() / n;
-            kernel(
-                &self.data[start * k..(start + h) * k],
-                k,
-                &packed.panels,
-                n,
-                block,
-            );
-        });
-    }
-
-    /// Row-filling driver shared by both products: serial below
+    /// Row-filling loop of the small-row fallback: serial below
     /// [`Self::PAR_ROW_THRESHOLD`] (a shape-only decision, so small
     /// products skip executor bookkeeping identically at every thread
     /// count), the deterministic parallel executor above it.
@@ -938,6 +792,22 @@ impl Matrix {
         Matrix::from_vec(rows, cols, data)
     }
 
+    /// Stack matrices horizontally; all operands must share a row count.
+    pub fn hstack(mats: &[&Matrix]) -> Matrix {
+        let rows = mats.first().map_or(0, |m| m.rows);
+        let cols = mats.iter().map(|m| m.cols).sum();
+        let mut data = Vec::with_capacity(rows * cols);
+        for m in mats {
+            assert_eq!(m.rows, rows, "hstack row mismatch");
+        }
+        for i in 0..rows {
+            for m in mats {
+                data.extend_from_slice(m.row(i));
+            }
+        }
+        Matrix::from_vec(rows, cols, data)
+    }
+
     /// Extract the sub-matrix made of the given rows (copied).
     pub fn select_rows(&self, indices: &[usize]) -> Matrix {
         let mut data = Vec::with_capacity(indices.len() * self.cols);
@@ -995,22 +865,6 @@ mod tests {
             }
         }
 
-        /// Parallel matmul/matmul_t are bitwise identical to serial for
-        /// every thread count — the determinism contract of the exec layer.
-        /// 70 rows puts the products above PAR_ROW_THRESHOLD so the
-        /// parallel executor actually engages.
-        #[test]
-        fn parallel_matmul_is_bitwise_serial(a in small_matrix(70, 7), b in small_matrix(7, 5)) {
-            let serial = a.matmul_with(&b, &crate::ExecPolicy::serial());
-            let bt = b.transpose();
-            let serial_t = a.matmul_t_with(&bt, &crate::ExecPolicy::serial());
-            for threads in [1usize, 2, 3, 8] {
-                let policy = crate::ExecPolicy::with_threads(threads);
-                prop_assert_eq!(a.matmul_with(&b, &policy).data(), serial.data());
-                prop_assert_eq!(a.matmul_t_with(&bt, &policy).data(), serial_t.data());
-            }
-        }
-
         /// The blocked/packed kernel agrees with a naive triple-loop
         /// reference within tolerance for arbitrary shapes in 1..64 —
         /// covering the packed path, the small-row fallback, and ragged
@@ -1051,26 +905,6 @@ mod tests {
                     prop_assert!((blocked_t.get(i, j) - reference.get(i, j)).abs() < 1e-5);
                 }
             }
-        }
-
-        /// The `_into` variants are bitwise identical at 1 vs 4 threads and
-        /// fully overwrite stale buffer contents (the arena reuse contract).
-        #[test]
-        fn matmul_into_is_bitwise_thread_invariant(a in small_matrix(70, 9), b in small_matrix(9, 6)) {
-            let bt = b.transpose();
-            let one = crate::ExecPolicy::with_threads(1);
-            let four = crate::ExecPolicy::with_threads(4);
-            let mut out1 = Matrix::filled(70, 6, f32::NAN);
-            let mut out4 = Matrix::filled(70, 6, -7.25);
-            a.matmul_into_with(&b, &one, &mut out1);
-            a.matmul_into_with(&b, &four, &mut out4);
-            prop_assert_eq!(out1.data(), out4.data());
-            let mut t1 = Matrix::filled(70, 6, f32::NAN);
-            let mut t4 = Matrix::filled(70, 6, 3.5);
-            a.matmul_t_into_with(&bt, &one, &mut t1);
-            a.matmul_t_into_with(&bt, &four, &mut t4);
-            prop_assert_eq!(t1.data(), t4.data());
-            prop_assert_eq!(out1.data(), t1.data());
         }
 
         /// vstack then select_rows recovers the operands.
@@ -1180,37 +1014,59 @@ mod tests {
             for i in 0..m {
                 a.row_mut(i)[i % k] = 0.0;
             }
-            let exact = a.matmul_with(&b, &crate::ExecPolicy::serial());
+            let fast_policy = crate::ExecPolicy::serial().with_precision(crate::Precision::Fast);
+            let exact = a.matmul(&b);
             let mut fast = Matrix::zeros(m, n);
-            a.matmul_into_fast_with(&b, &crate::ExecPolicy::serial(), &mut fast);
+            a.matmul_into(Rhs::Dense(&b), &fast_policy, &mut fast);
             for (e, f) in exact.data.iter().zip(&fast.data) {
                 assert!((e - f).abs() <= 1e-4 * (1.0 + e.abs()), "e={e} f={f}");
             }
 
             let bt = b.transpose();
-            let exact_t = a.matmul_t_with(&bt, &crate::ExecPolicy::serial());
+            let exact_t = a.matmul_t(&bt);
             let mut fast_t = Matrix::zeros(m, n);
-            a.matmul_t_into_fast_with(&bt, &crate::ExecPolicy::serial(), &mut fast_t);
+            a.matmul_into(Rhs::DenseT(&bt), &fast_policy, &mut fast_t);
             for (e, f) in exact_t.data.iter().zip(&fast_t.data) {
                 assert!((e - f).abs() <= 1e-4 * (1.0 + e.abs()), "e={e} f={f}");
             }
         }
     }
 
+    /// The SSE2 Fast tile agrees bitwise with its portable twin, the
+    /// generic kernel without the zero skip, on full tiles and ragged
+    /// edges alike: non-x86 hosts compute the Fast bits tested here.
+    #[test]
+    fn fast_tile_matches_portable_twin_bitwise() {
+        let mut rng = crate::rng::seeded(43);
+        for &(m, k, n) in &[(4usize, 7usize, 8usize), (9, 16, 21), (3, 5, 3)] {
+            let a = gaussian_matrix(m, k, &mut rng);
+            let b = gaussian_matrix(k, n, &mut rng);
+            let mut panels = Vec::new();
+            pack_dense(&mut panels, &b, false);
+            let mut simd = vec![f32::NAN; m * n];
+            let mut portable = vec![0.0; m * n];
+            crate::simd::packed_block_kernel_fast(a.data(), k, &panels, n, &mut simd);
+            packed_block_kernel::<false>(a.data(), k, &panels, n, &mut portable);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&simd), bits(&portable), "{m}x{k}x{n}");
+        }
+    }
+
     proptest! {
-        /// The tentpole bitwise contract: an Exact product against a
-        /// pre-packed operand is bit-identical to the per-call packed
-        /// path — across arbitrary shapes (covering the packed path, the
-        /// small-row fallback, and ragged last panels), both packing
-        /// orientations, and every thread count. Zeros are mixed into
-        /// the left operand so the `a == 0.0` skip is exercised.
+        /// The bitwise contract of the one entry point: at each tier, a
+        /// product's bits do not depend on the operand form (`Dense`,
+        /// `DenseT`, `Packed` from either orientation) or the thread count,
+        /// and stale output contents are fully overwritten (the arena reuse
+        /// contract). Shapes cover the small-row fallback, the packed
+        /// kernel, ragged last panels and (above 64 rows) the parallel
+        /// executor; zeros in the left operand exercise the Exact skip.
         #[test]
-        fn prepacked_exact_matmul_is_bitwise_per_call(
-            m in 1usize..64,
-            k in 1usize..64,
-            n in 1usize..64,
-            a_pool in proptest::collection::vec(-10.0f32..10.0, 64 * 64),
-            b_pool in proptest::collection::vec(-10.0f32..10.0, 64 * 64),
+        fn matmul_bits_depend_only_on_tier(
+            m in 1usize..80,
+            k in 1usize..48,
+            n in 1usize..48,
+            a_pool in proptest::collection::vec(-10.0f32..10.0, 80 * 48),
+            b_pool in proptest::collection::vec(-10.0f32..10.0, 48 * 48),
         ) {
             let mut a_data = a_pool[..m * k].to_vec();
             for v in a_data.iter_mut().step_by(5) {
@@ -1223,46 +1079,30 @@ mod tests {
             let packed_t = PackedMatrix::pack_transposed(&bt);
             prop_assert!(!packed.is_transposed());
             prop_assert!(packed_t.is_transposed());
-            for threads in [1usize, 2, 4] {
-                let policy = crate::ExecPolicy::with_threads(threads);
-                let mut per_call = Matrix::filled(m, n, f32::NAN);
-                let mut pre = Matrix::filled(m, n, -3.5);
-                a.matmul_into_with(&b, &policy, &mut per_call);
-                a.matmul_prepacked_into_with(&packed, &policy, &mut pre);
-                for (x, y) in per_call.data().iter().zip(pre.data()) {
-                    prop_assert_eq!(x.to_bits(), y.to_bits());
+            let forms = [
+                Rhs::Dense(&b),
+                Rhs::DenseT(&bt),
+                Rhs::Packed(&packed),
+                Rhs::Packed(&packed_t),
+            ];
+            for precision in [crate::Precision::Exact, crate::Precision::Fast] {
+                let serial = crate::ExecPolicy::serial().with_precision(precision);
+                let mut reference = Matrix::zeros(m, n);
+                a.matmul_into(Rhs::Dense(&b), &serial, &mut reference);
+                for threads in [1usize, 4] {
+                    let policy = crate::ExecPolicy::with_threads(threads).with_precision(precision);
+                    for (form, rhs) in forms.iter().enumerate() {
+                        let mut out = Matrix::filled(m, n, f32::NAN);
+                        a.matmul_into(*rhs, &policy, &mut out);
+                        for (x, y) in reference.data().iter().zip(out.data()) {
+                            prop_assert_eq!(
+                                x.to_bits(),
+                                y.to_bits(),
+                                "{} form {} threads {}", precision, form, threads
+                            );
+                        }
+                    }
                 }
-                let mut per_call_t = Matrix::filled(m, n, f32::NAN);
-                let mut pre_t = Matrix::filled(m, n, 7.0);
-                a.matmul_t_into_with(&bt, &policy, &mut per_call_t);
-                a.matmul_prepacked_into_with(&packed_t, &policy, &mut pre_t);
-                for (x, y) in per_call_t.data().iter().zip(pre_t.data()) {
-                    prop_assert_eq!(x.to_bits(), y.to_bits());
-                }
-            }
-        }
-
-        /// Fast-tier prepacked products are bitwise equal to the per-call
-        /// fast path too: the dispatched kernel is the same, prepacking
-        /// only moves where the panels are built.
-        #[test]
-        fn prepacked_fast_matmul_is_bitwise_per_call(
-            m in 1usize..48,
-            k in 1usize..48,
-            n in 1usize..48,
-            a_pool in proptest::collection::vec(-8.0f32..8.0, 48 * 48),
-            b_pool in proptest::collection::vec(-8.0f32..8.0, 48 * 48),
-        ) {
-            let a = Matrix::from_vec(m, k, a_pool[..m * k].to_vec());
-            let b = Matrix::from_vec(k, n, b_pool[..k * n].to_vec());
-            let packed = PackedMatrix::pack(&b);
-            let policy = crate::ExecPolicy::serial();
-            let mut per_call = Matrix::zeros(m, n);
-            let mut pre = Matrix::filled(m, n, f32::NAN);
-            a.matmul_into_fast_with(&b, &policy, &mut per_call);
-            a.matmul_prepacked_fast_into_with(&packed, &policy, &mut pre);
-            for (x, y) in per_call.data().iter().zip(pre.data()) {
-                prop_assert_eq!(x.to_bits(), y.to_bits());
             }
         }
     }
@@ -1297,24 +1137,7 @@ mod tests {
         let b = Matrix::zeros(0, 4);
         let packed = PackedMatrix::pack(&b);
         let mut out = Matrix::filled(3, 4, f32::NAN);
-        a.matmul_prepacked_into(&packed, &mut out);
+        a.matmul_into(Rhs::Packed(&packed), &crate::ExecPolicy::serial(), &mut out);
         assert!(out.data().iter().all(|&v| v == 0.0));
-    }
-
-    /// Fast-tier output is still deterministic: thread count must not
-    /// change bits (chunked rows, one writer per element — same structural
-    /// argument as the exact path).
-    #[test]
-    fn fast_matmul_is_thread_count_invariant() {
-        let mut rng = crate::rng::seeded(42);
-        let a = gaussian_matrix(70, 24, &mut rng);
-        let b = gaussian_matrix(24, 18, &mut rng);
-        let mut serial = Matrix::zeros(70, 18);
-        a.matmul_into_fast_with(&b, &crate::ExecPolicy::serial(), &mut serial);
-        for threads in [2, 3, 8] {
-            let mut par = Matrix::zeros(70, 18);
-            a.matmul_into_fast_with(&b, &crate::ExecPolicy::with_threads(threads), &mut par);
-            assert_eq!(serial.data, par.data, "threads={threads}");
-        }
     }
 }

@@ -14,7 +14,7 @@
 //! exactly that purpose).
 //!
 //! None of this is reachable from Exact-tier code: only the Fast kernels
-//! ([`Matrix::matmul_into_fast`], the fast GELU/softmax/LayerNorm row
+//! ([`Matrix::matmul_into`] at Fast, the fast GELU/softmax/LayerNorm row
 //! passes) route through this module, so the bitwise-reproducibility
 //! contract of the Exact tier is untouched. Within the Fast tier the
 //! SSE2 and scalar paths agree *bitwise* for finite inputs on the matmul
@@ -25,10 +25,10 @@
 //! the documented Fast-tier bounds, and still deterministic for a fixed
 //! input length.
 //!
-//! [`Matrix::matmul_into_fast`]: crate::Matrix::matmul_into_fast
+//! [`Matrix::matmul_into`]: crate::Matrix::matmul_into
 
 use crate::fastmath;
-use crate::matrix::{MR, NR};
+use crate::matrix::{packed_block_kernel, MR, NR};
 
 /// Whether the SSE2 branches are taken on this machine. `true` on every
 /// x86-64 (SSE2 is the architecture baseline), `false` elsewhere; public
@@ -48,9 +48,11 @@ pub fn sse2_available() -> bool {
 // ------------------------------------------------------------- matmul tile
 
 /// Fast-tier packed block kernel: runtime dispatch between the SSE2 tile
-/// and the scalar twin. Same contract as the scalar version (see
-/// [`packed_block_kernel_fast_scalar`]); callers are the Fast matmul
-/// entry points in `matrix.rs`.
+/// and its scalar twin, the generic block kernel without the Exact
+/// tier's zero skip ([`packed_block_kernel::<false>`]). The only caller is
+/// [`Matrix::matmul_into`] at Fast precision.
+///
+/// [`packed_block_kernel::<false>`]: crate::matrix::packed_block_kernel
 #[inline]
 pub(crate) fn packed_block_kernel_fast(
     a_block: &[f32],
@@ -65,67 +67,7 @@ pub(crate) fn packed_block_kernel_fast(
         unsafe { packed_block_kernel_fast_sse2(a_block, k, packed, n, out) };
         return;
     }
-    packed_block_kernel_fast_scalar(a_block, k, packed, n, out);
-}
-
-/// Portable fast-tier block kernel: the exact kernel's tiling without the
-/// `a == 0.0` skip, so the inner loop is a straight multiply-add sweep
-/// with no data-dependent branch. The result can differ from the exact
-/// kernel in the last bits because zero left-hand contributions (and
-/// `-0.0`/NaN propagation through them) are no longer skipped — exactly
-/// the guarantee [`Precision::Fast`] documents away.
-///
-/// [`Precision::Fast`]: crate::exec::Precision::Fast
-pub(crate) fn packed_block_kernel_fast_scalar(
-    a_block: &[f32],
-    k: usize,
-    packed: &[f32],
-    n: usize,
-    out: &mut [f32],
-) {
-    debug_assert!(k > 0 && n > 0);
-    let rows = a_block.len() / k;
-    let mut panel_start = 0;
-    let mut j0 = 0;
-    while j0 < n {
-        let w = NR.min(n - j0);
-        let panel = &packed[panel_start..panel_start + k * w];
-        let mut r0 = 0;
-        while r0 < rows {
-            let h = MR.min(rows - r0);
-            if w == NR && h == MR {
-                let mut acc = [[0.0f32; NR]; MR];
-                for kk in 0..k {
-                    let b = &panel[kk * NR..kk * NR + NR];
-                    for (r, acc_r) in acc.iter_mut().enumerate() {
-                        let a = a_block[(r0 + r) * k + kk];
-                        for (o, &bv) in acc_r.iter_mut().zip(b) {
-                            *o += a * bv;
-                        }
-                    }
-                }
-                for (r, acc_r) in acc.iter().enumerate() {
-                    let o0 = (r0 + r) * n + j0;
-                    out[o0..o0 + NR].copy_from_slice(acc_r);
-                }
-            } else {
-                for r in r0..r0 + h {
-                    let a_row = &a_block[r * k..(r + 1) * k];
-                    let mut acc = [0.0f32; NR];
-                    for (kk, &a) in a_row.iter().enumerate() {
-                        let b = &panel[kk * w..kk * w + w];
-                        for (o, &bv) in acc[..w].iter_mut().zip(b) {
-                            *o += a * bv;
-                        }
-                    }
-                    out[r * n + j0..r * n + j0 + w].copy_from_slice(&acc[..w]);
-                }
-            }
-            r0 += h;
-        }
-        panel_start += k * w;
-        j0 += w;
-    }
+    packed_block_kernel::<false>(a_block, k, packed, n, out);
 }
 
 /// SSE2 fast-tier block kernel: the full `MR x NR` register tile holds

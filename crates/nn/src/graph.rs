@@ -22,7 +22,7 @@
 //! always fully overwritten (or explicitly zeroed) before use, so results
 //! are byte-identical to freshly allocated storage — property-tested below.
 
-use structmine_linalg::{fastmath, simd, Matrix, PackedMatrix, Precision};
+use structmine_linalg::{fastmath, simd, ExecPolicy, Matrix, PackedMatrix, Precision, Rhs};
 
 /// Thread-local recycling pool for matrix buffers, keyed by element count.
 ///
@@ -332,16 +332,19 @@ impl Graph {
         self.push(v, Op::Mul(a, b))
     }
 
+    /// The policy this tape's products run under: the process-wide thread
+    /// count at the tape's precision tier.
+    fn policy(&self) -> ExecPolicy {
+        ExecPolicy::global().with_precision(self.precision)
+    }
+
     /// Matrix product `a × b`. Fast tapes use the branch-free kernel
     /// (no `a == 0.0` skip, no bit-compat with Exact); Exact tapes keep
     /// the bit-reproducible kernel.
     pub fn matmul(&mut self, a: NodeId, b: NodeId) -> NodeId {
         let (va, vb) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
         let mut v = arena::take_uninit(va.rows(), vb.cols());
-        match self.precision {
-            Precision::Exact => va.matmul_into(vb, &mut v),
-            Precision::Fast => va.matmul_into_fast(vb, &mut v),
-        }
+        va.matmul_into(Rhs::Dense(vb), &self.policy(), &mut v);
         self.push(v, Op::MatMul(a, b))
     }
 
@@ -352,10 +355,7 @@ impl Graph {
     pub fn matmul_t(&mut self, a: NodeId, b: NodeId) -> NodeId {
         let (va, vb) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
         let mut v = arena::take_uninit(va.rows(), vb.rows());
-        match self.precision {
-            Precision::Exact => va.matmul_t_into(vb, &mut v),
-            Precision::Fast => va.matmul_t_into_fast(vb, &mut v),
-        }
+        va.matmul_into(Rhs::DenseT(vb), &self.policy(), &mut v);
         self.push(v, Op::MatMulT(a, b))
     }
 
@@ -370,10 +370,7 @@ impl Graph {
     pub fn matmul_prepacked(&mut self, a: NodeId, packed: &PackedMatrix) -> NodeId {
         let va = &self.nodes[a.0].value;
         let mut v = arena::take_uninit(va.rows(), packed.n());
-        match self.precision {
-            Precision::Exact => va.matmul_prepacked_into(packed, &mut v),
-            Precision::Fast => va.matmul_prepacked_fast_into(packed, &mut v),
-        }
+        va.matmul_into(Rhs::Packed(packed), &self.policy(), &mut v);
         self.push(v, Op::MatMulPrepacked(a))
     }
 
@@ -687,24 +684,26 @@ impl Graph {
             }
             Op::MatMul(a, b) => {
                 let (va, vb) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
+                let policy = self.policy();
                 let mut ga = arena::take_uninit(grad_out.rows(), vb.rows());
-                grad_out.matmul_t_into(vb, &mut ga);
+                grad_out.matmul_into(Rhs::DenseT(vb), &policy, &mut ga);
                 let mut at = arena::take_uninit(va.cols(), va.rows());
                 va.transpose_into(&mut at);
                 let mut gb = arena::take_uninit(at.rows(), grad_out.cols());
-                at.matmul_into(grad_out, &mut gb);
+                at.matmul_into(Rhs::Dense(grad_out), &policy, &mut gb);
                 arena::give_back(at);
                 vec![(*a, ga), (*b, gb)]
             }
             Op::MatMulT(a, b) => {
                 // out = A·Bᵀ, so dA = G·B and dB = Gᵀ·A.
                 let (va, vb) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
+                let policy = self.policy();
                 let mut ga = arena::take_uninit(grad_out.rows(), vb.cols());
-                grad_out.matmul_into(vb, &mut ga);
+                grad_out.matmul_into(Rhs::Dense(vb), &policy, &mut ga);
                 let mut gt = arena::take_uninit(grad_out.cols(), grad_out.rows());
                 grad_out.transpose_into(&mut gt);
                 let mut gb = arena::take_uninit(gt.rows(), va.cols());
-                gt.matmul_into(va, &mut gb);
+                gt.matmul_into(Rhs::Dense(va), &policy, &mut gb);
                 arena::give_back(gt);
                 vec![(*a, ga), (*b, gb)]
             }

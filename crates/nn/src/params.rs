@@ -13,7 +13,7 @@ use structmine_linalg::{rng as lrng, Matrix, PackedMatrix};
 use structmine_store::obs;
 
 /// Handle to a parameter in a [`ParamStore`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct ParamId(usize);
 
 /// Named parameter matrices.
@@ -33,13 +33,14 @@ pub struct ParamStore {
     packs: Mutex<PackCache>,
 }
 
-/// Generation-keyed cache of [`PackedMatrix`] panels, one slot per parameter
-/// and orientation.
+/// Generation-keyed cache of [`PackedMatrix`] panels: one slot per column
+/// group of parameters (a single parameter is a group of one), and one per
+/// parameter packed transposed.
 #[derive(Default)]
 struct PackCache {
     generation: u64,
-    normal: HashMap<usize, Arc<PackedMatrix>>,
-    transposed: HashMap<usize, Arc<PackedMatrix>>,
+    cols: HashMap<Vec<ParamId>, Arc<PackedMatrix>>,
+    transposed: HashMap<ParamId, Arc<PackedMatrix>>,
 }
 
 impl ParamStore {
@@ -144,7 +145,23 @@ impl ParamStore {
     /// [`Self::import_values`], or [`Adam::step`] drops the cache, so a
     /// returned pack always reflects the current value.
     pub fn prepacked(&self, id: ParamId) -> Arc<PackedMatrix> {
-        self.prepacked_inner(id, false)
+        self.prepacked_cols(std::slice::from_ref(&id))
+    }
+
+    /// The column group `[W_0 | W_1 | …]` of `ids` (all with the same row
+    /// count) pre-packed for one wide `x · W`. Each output column is the
+    /// same ascending-`k` sum the per-parameter product computes, so the
+    /// wide product is bitwise equal to the narrow ones side by side.
+    /// Cached per weight generation exactly like [`Self::prepacked`].
+    pub fn prepacked_cols(&self, ids: &[ParamId]) -> Arc<PackedMatrix> {
+        let mut cache = self.pack_cache();
+        if let Some(packed) = cache.cols.get(ids) {
+            return Arc::clone(packed);
+        }
+        let values: Vec<&Matrix> = ids.iter().map(|id| &self.values[id.0]).collect();
+        let packed = Arc::new(PackedMatrix::pack(&Matrix::hstack(&values)));
+        cache.cols.insert(ids.to_vec(), Arc::clone(&packed));
+        packed
     }
 
     /// Like [`Self::prepacked`], but packed for the transposed product
@@ -152,33 +169,28 @@ impl ParamStore {
     /// The orientation is baked into the panels, so the same
     /// [`Graph::matmul_prepacked`] entry point consumes both kinds.
     pub fn prepacked_t(&self, id: ParamId) -> Arc<PackedMatrix> {
-        self.prepacked_inner(id, true)
+        let mut cache = self.pack_cache();
+        let packed = cache
+            .transposed
+            .entry(id)
+            .or_insert_with(|| Arc::new(PackedMatrix::pack_transposed(&self.values[id.0])));
+        Arc::clone(packed)
     }
 
-    fn prepacked_inner(&self, id: ParamId, transposed: bool) -> Arc<PackedMatrix> {
+    /// The pack cache, emptied first if a weight write happened since it
+    /// was filled.
+    fn pack_cache(&self) -> std::sync::MutexGuard<'_, PackCache> {
         let mut cache = self.packs.lock().unwrap_or_else(|e| e.into_inner());
         if cache.generation != self.generation {
-            let stale = cache.normal.len() + cache.transposed.len();
+            let stale = cache.cols.len() + cache.transposed.len();
             if stale > 0 {
                 obs::counter_add("linalg.prepack.invalidations", stale as u64);
             }
-            cache.normal.clear();
+            cache.cols.clear();
             cache.transposed.clear();
             cache.generation = self.generation;
         }
-        let map = if transposed {
-            &mut cache.transposed
-        } else {
-            &mut cache.normal
-        };
-        Arc::clone(map.entry(id.0).or_insert_with(|| {
-            let v = &self.values[id.0];
-            Arc::new(if transposed {
-                PackedMatrix::pack_transposed(v)
-            } else {
-                PackedMatrix::pack(v)
-            })
-        }))
+        cache
     }
 
     /// Copy the parameter into `graph` as a leaf (through the graph's buffer
@@ -470,11 +482,14 @@ mod tests {
     }
 
     use proptest::prelude::*;
+    use structmine_linalg::Rhs;
 
     proptest! {
         /// A weight write followed by a prepack lookup always yields panels
         /// packed from the *current* value: multiplying through the cached
-        /// pack is bitwise identical to packing fresh from the raw matrix.
+        /// pack is bitwise identical to packing fresh from the raw matrix,
+        /// and a column group's wide product is bitwise identical to its
+        /// members' products side by side.
         #[test]
         fn prepack_after_write_matches_fresh_pack_bitwise(
             vals in proptest::collection::vec(-2.0f32..2.0, 12),
@@ -483,31 +498,41 @@ mod tests {
         ) {
             let mut store = ParamStore::new();
             let id = store.add("w", Matrix::from_vec(3, 4, vals));
+            let other = store.add("u", Matrix::from_rows(&[&[1.5, 0.0], &[-2.0, 0.5], &[0.25, 3.0]]));
             // Warm the cache, then mutate through value_mut.
             let _warm = store.prepacked(id);
             let _warm_t = store.prepacked_t(id);
+            let _warm_cols = store.prepacked_cols(&[id, other]);
             for (&i, &v) in write_at.iter().zip(&write_vals) {
                 store.value_mut(id).set(i / 4, i % 4, v);
             }
+            let policy = structmine_linalg::ExecPolicy::serial();
             let x = Matrix::from_rows(&[&[0.5, -1.0, 2.0]]);
             let mut got = Matrix::zeros(1, 4);
-            x.matmul_prepacked_into(&store.prepacked(id), &mut got);
+            x.matmul_into(Rhs::Packed(&store.prepacked(id)), &policy, &mut got);
             let fresh = PackedMatrix::pack(store.value(id));
             let mut want = Matrix::zeros(1, 4);
-            x.matmul_prepacked_into(&fresh, &mut want);
+            x.matmul_into(Rhs::Packed(&fresh), &policy, &mut want);
             for (a, b) in got.data().iter().zip(want.data()) {
                 prop_assert_eq!(a.to_bits(), b.to_bits());
             }
             // Transposed orientation: x (1×4) · Wᵀ (4×3).
             let xt = Matrix::from_rows(&[&[0.5, -1.0, 2.0, 0.25]]);
             let mut got_t = Matrix::zeros(1, 3);
-            xt.matmul_prepacked_into(&store.prepacked_t(id), &mut got_t);
+            xt.matmul_into(Rhs::Packed(&store.prepacked_t(id)), &policy, &mut got_t);
             let fresh_t = PackedMatrix::pack_transposed(store.value(id));
             let mut want_t = Matrix::zeros(1, 3);
-            xt.matmul_prepacked_into(&fresh_t, &mut want_t);
+            xt.matmul_into(Rhs::Packed(&fresh_t), &policy, &mut want_t);
             for (a, b) in got_t.data().iter().zip(want_t.data()) {
                 prop_assert_eq!(a.to_bits(), b.to_bits());
             }
+            let mut wide = Matrix::zeros(1, 6);
+            x.matmul_into(Rhs::Packed(&store.prepacked_cols(&[id, other])), &policy, &mut wide);
+            let mut narrow = Matrix::zeros(1, 2);
+            x.matmul_into(Rhs::Dense(store.value(other)), &policy, &mut narrow);
+            let side_by_side: Vec<u32> = want.data().iter().chain(narrow.data()).map(|v| v.to_bits()).collect();
+            let wide_bits: Vec<u32> = wide.data().iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(wide_bits, side_by_side);
         }
     }
 

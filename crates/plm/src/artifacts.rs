@@ -259,6 +259,7 @@ impl Stage for NliEntail<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use structmine_linalg::Precision;
     use structmine_store::{fingerprint_of, ArtifactStore};
     use structmine_text::synth::recipes;
 
@@ -274,7 +275,10 @@ mod tests {
         let restored = PlmCheckpoint::of(&model).restore();
         assert_eq!(restored.fingerprint(), model.fingerprint());
         let doc = &corpus.docs[0].tokens;
-        assert_eq!(restored.mean_embed(doc), model.mean_embed(doc));
+        assert_eq!(
+            restored.mean_embed(doc, Precision::Exact),
+            model.mean_embed(doc, Precision::Exact)
+        );
     }
 
     #[test]

@@ -169,16 +169,15 @@ pub fn pretrained(tier: Tier, seed: u64) -> Arc<MiniPlm> {
         Ok(owned) => owned.into_model(),
         Err(shared) => shared.restore(),
     });
-    cache
-        .lock()
-        .entry((tier, seed))
-        .or_insert_with(|| Arc::clone(&arc));
-    arc
+    // A racing caller may have inserted first: hand back the one shared
+    // instance either way.
+    Arc::clone(cache.lock().entry((tier, seed)).or_insert(arc))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use structmine_linalg::Precision;
 
     #[test]
     fn cache_returns_shared_instance() {
@@ -195,10 +194,10 @@ mod tests {
         let serial: Vec<Vec<f32>> = corpus
             .docs
             .iter()
-            .map(|d| model.mean_embed(&d.tokens))
+            .map(|d| model.mean_embed(&d.tokens, Precision::Exact))
             .collect();
         let par = par_map_chunks(&ExecPolicy::with_threads(4), &corpus.docs, |_, d| {
-            model.mean_embed(&d.tokens)
+            model.mean_embed(&d.tokens, Precision::Exact)
         });
         assert_eq!(par, serial);
     }
@@ -224,7 +223,10 @@ mod tests {
             assert_eq!(warm_store.stats().disk_hits, 1);
         }
         let doc = &corpus.docs[0].tokens;
-        assert_eq!(warm.mean_embed(doc), cold.mean_embed(doc));
+        assert_eq!(
+            warm.mean_embed(doc, Precision::Exact),
+            cold.mean_embed(doc, Precision::Exact)
+        );
         assert_eq!(warm.fingerprint(), cold.fingerprint());
     }
 
@@ -236,6 +238,9 @@ mod tests {
         let back: PlmCheckpoint = serde_json::from_slice(&bytes).unwrap();
         let restored = back.restore();
         let doc = &corpus.docs[0].tokens;
-        assert_eq!(model.mean_embed(doc), restored.mean_embed(doc));
+        assert_eq!(
+            model.mean_embed(doc, Precision::Exact),
+            restored.mean_embed(doc, Precision::Exact)
+        );
     }
 }

@@ -11,20 +11,11 @@
 //! per tape and accumulate several sequence losses before the Adam step.
 
 use crate::config::PlmConfig;
-use std::sync::{Arc, Mutex};
-use structmine_linalg::{vector, Matrix, PackedMatrix, Precision};
+use structmine_linalg::{vector, Matrix, Precision};
 use structmine_nn::graph::{Graph, NodeId};
 use structmine_nn::layers::{Embedding, LayerNorm, Linear};
-use structmine_nn::params::{Adam, Binding, ParamStore};
+use structmine_nn::params::{Adam, Binding, ParamId, ParamStore};
 use structmine_text::vocab::{TokenId, CLS, SEP};
-
-/// The fused QKV projection of one block, pre-packed for the inference
-/// matmul: the concatenated `d_model x 3*d_model` weight in panel layout
-/// plus its `1 x 3*d_model` bias.
-struct FusedQkv {
-    packed: PackedMatrix,
-    bias: Matrix,
-}
 
 struct Block {
     ln1: LayerNorm,
@@ -34,61 +25,18 @@ struct Block {
     ln2: LayerNorm,
     ff1: Linear,
     ff2: Linear,
-    /// Fused QKV weight, keyed by the store's weight-write generation so a
-    /// training step can't leave it stale (the derived matrix lives outside
-    /// the store, so the store's own pack cache can't cover it). `Arc` lets
-    /// concurrent encodes share one build; `Mutex` (not `RefCell`) keeps
-    /// the model `Sync` for the exec layer's worker threads.
-    qkv_cache: Mutex<Option<(u64, Arc<FusedQkv>)>>,
 }
 
 impl Block {
-    /// Concatenate the per-head q/k/v projection weights and biases
-    /// column-wise into one `d_model x 3*d_model` weight (head-major
-    /// `[q_h | k_h | v_h]` triples) plus its `1 x 3*d_model` bias, so the
-    /// inference path can run one wide matmul instead of `3 * n_heads`
-    /// narrow ones. Each fused output element is the same ascending-`k` dot
-    /// product the per-head matmuls compute, so results are bitwise
-    /// identical.
-    fn fused_qkv(&self, store: &ParamStore) -> (Matrix, Matrix) {
-        let first = store.value(self.heads[0].0.weight());
-        let (d_in, dh) = first.shape();
-        let total = self.heads.len() * 3 * dh;
-        let mut w = Matrix::zeros(d_in, total);
-        let mut b = Matrix::zeros(1, total);
-        for (h, (wq, wk, wv)) in self.heads.iter().enumerate() {
-            for (slot, lin) in [wq, wk, wv].into_iter().enumerate() {
-                let off = (h * 3 + slot) * dh;
-                let src = store.value(lin.weight());
-                for r in 0..d_in {
-                    w.row_mut(r)[off..off + dh].copy_from_slice(src.row(r));
-                }
-                b.row_mut(0)[off..off + dh].copy_from_slice(store.value(lin.bias()).row(0));
-            }
-        }
-        (w, b)
+    /// The per-head projections in head-major `[q_h | k_h | v_h]` order:
+    /// the column order of the inference path's one wide QKV matmul.
+    fn qkv(&self) -> impl Iterator<Item = &Linear> {
+        self.heads.iter().flat_map(|(q, k, v)| [q, k, v])
     }
 
-    /// The fused QKV projection, concatenated and pre-packed once per
-    /// weight-write generation. A stale entry (generation mismatch after a
-    /// training step) is dropped and rebuilt from current per-head values,
-    /// so the cache can never serve panels from overwritten weights.
-    fn fused_qkv_prepacked(&self, store: &ParamStore) -> Arc<FusedQkv> {
-        let mut cache = self.qkv_cache.lock().unwrap_or_else(|e| e.into_inner());
-        let generation = store.generation();
-        if let Some((cached_gen, fused)) = cache.as_ref() {
-            if *cached_gen == generation {
-                return Arc::clone(fused);
-            }
-            structmine_store::obs::counter_add("linalg.prepack.invalidations", 1);
-        }
-        let (w, b) = self.fused_qkv(store);
-        let fused = Arc::new(FusedQkv {
-            packed: PackedMatrix::pack(&w),
-            bias: b,
-        });
-        *cache = Some((generation, Arc::clone(&fused)));
-        fused
+    /// The weights of [`Self::qkv`], the column group the store packs.
+    fn qkv_weights(&self) -> Vec<ParamId> {
+        self.qkv().map(Linear::weight).collect()
     }
 }
 
@@ -129,7 +77,7 @@ pub struct MiniPlm {
     pos: Embedding,
     blocks: Vec<Block>,
     ln_final: LayerNorm,
-    mlm_bias: structmine_nn::params::ParamId,
+    mlm_bias: ParamId,
     rtd: Linear,
     nli: Linear,
 }
@@ -206,7 +154,6 @@ impl MiniPlm {
                         config.d_model,
                         &mut rng,
                     ),
-                    qkv_cache: Mutex::new(None),
                 }
             })
             .collect();
@@ -269,15 +216,15 @@ impl MiniPlm {
     }
 
     /// Eagerly build every pre-packed weight the inference paths consume
-    /// (fused QKV per block, output/FFN projections, the transposed token
-    /// table for tied MLM logits, and the RTD/NLI heads), so the first
-    /// serving request pays no packing cost. Idempotent and cheap when
-    /// already packed: warm calls are cache hits. Weight writes after this
-    /// call invalidate the caches; the panels are lazily rebuilt at next
-    /// use, so calling this again afterwards is optional.
+    /// (the QKV column group per block, output/FFN projections, the
+    /// transposed token table for tied MLM logits, and the RTD/NLI heads),
+    /// so the first serving request pays no packing cost. Idempotent and
+    /// cheap when already packed: warm calls are cache hits. Weight writes
+    /// after this call invalidate the store's cache; the panels are lazily
+    /// rebuilt at next use, so calling this again afterwards is optional.
     pub fn prepack_weights(&self) {
         for block in &self.blocks {
-            block.fused_qkv_prepacked(&self.store);
+            self.store.prepacked_cols(&block.qkv_weights());
             self.store.prepacked(block.wo.weight());
             self.store.prepacked(block.ff1.weight());
             self.store.prepacked(block.ff2.weight());
@@ -323,15 +270,10 @@ impl MiniPlm {
     }
 
     /// Run a no-gradient forward pass, returning the final hidden states
-    /// (`len x d_model`).
-    pub fn encode(&self, tokens: &[TokenId]) -> Matrix {
-        self.encode_prec(tokens, Precision::Exact)
-    }
-
-    /// [`MiniPlm::encode`] at an explicit precision tier: the tier selects
-    /// the tape the forward pass records on (Exact tapes are bitwise
-    /// reproducible; Fast tapes use the approximate inference kernels).
-    pub fn encode_prec(&self, tokens: &[TokenId], precision: Precision) -> Matrix {
+    /// (`len x d_model`). The tier selects the tape the forward pass
+    /// records on (Exact tapes are bitwise reproducible; Fast tapes use the
+    /// approximate inference kernels).
+    pub fn encode(&self, tokens: &[TokenId], precision: Precision) -> Matrix {
         with_scratch_graph(precision, |g| {
             let bound = self.bound();
             let h = bound.encode(g, tokens);
@@ -400,13 +342,8 @@ impl MiniPlm {
     }
 
     /// Per-position replaced-token probabilities for a wrapped sequence
-    /// (sigmoid of the RTD head).
-    pub fn rtd_probs(&self, tokens: &[TokenId]) -> Vec<f32> {
-        self.rtd_probs_prec(tokens, Precision::Exact)
-    }
-
-    /// [`MiniPlm::rtd_probs`] at an explicit precision tier.
-    pub fn rtd_probs_prec(&self, tokens: &[TokenId], precision: Precision) -> Vec<f32> {
+    /// (sigmoid of the RTD head) at the given tier.
+    pub fn rtd_probs(&self, tokens: &[TokenId], precision: Precision) -> Vec<f32> {
         with_scratch_graph(precision, |g| {
             let bound = self.bound();
             let h = bound.encode(g, tokens);
@@ -419,13 +356,9 @@ impl MiniPlm {
         })
     }
 
-    /// Probability that `premise` entails `hypothesis` under the NLI head.
-    pub fn nli_entail_prob(&self, premise: &[TokenId], hypothesis: &[TokenId]) -> f32 {
-        self.nli_entail_prob_prec(premise, hypothesis, Precision::Exact)
-    }
-
-    /// [`MiniPlm::nli_entail_prob`] at an explicit precision tier.
-    pub fn nli_entail_prob_prec(
+    /// Probability that `premise` entails `hypothesis` under the NLI head,
+    /// at the given tier.
+    pub fn nli_entail_prob(
         &self,
         premise: &[TokenId],
         hypothesis: &[TokenId],
@@ -446,15 +379,11 @@ impl MiniPlm {
     }
 
     /// Average of the final hidden states over real (non-CLS/SEP) positions —
-    /// the "average-pooled BERT representation" of the tutorial's figures.
-    pub fn mean_embed(&self, tokens: &[TokenId]) -> Vec<f32> {
-        self.mean_embed_prec(tokens, Precision::Exact)
-    }
-
-    /// [`MiniPlm::mean_embed`] at an explicit precision tier.
-    pub fn mean_embed_prec(&self, tokens: &[TokenId], precision: Precision) -> Vec<f32> {
+    /// the "average-pooled BERT representation" of the tutorial's figures —
+    /// at the given tier.
+    pub fn mean_embed(&self, tokens: &[TokenId], precision: Precision) -> Vec<f32> {
         let seq = self.wrap(tokens);
-        let h = self.encode_prec(&seq, precision);
+        let h = self.encode(&seq, precision);
         let rows: Vec<&[f32]> = (1..seq.len() - 1).map(|i| h.row(i)).collect();
         if rows.is_empty() {
             return h.row(0).to_vec();
@@ -472,7 +401,7 @@ impl MiniPlm {
     /// The `[CLS]` hidden state of a wrapped sequence.
     pub fn cls_embed(&self, tokens: &[TokenId]) -> Vec<f32> {
         let seq = self.wrap(tokens);
-        self.encode(&seq).row(0).to_vec()
+        self.encode(&seq, Precision::Exact).row(0).to_vec()
     }
 }
 
@@ -531,16 +460,16 @@ impl BoundPlm<'_> {
                     ctxs.push(g.matmul(attn, v));
                 }
             } else {
-                // Inference: one wide fused QKV matmul replaces the
-                // 3*n_heads narrow per-head projections (same bits, far
-                // better kernel efficiency); heads become column slices.
-                // The fused weight arrives pre-packed from the block's
-                // generation-keyed cache, so the per-call concatenate and
-                // pack both disappear from the hot path.
-                let fused = block.fused_qkv_prepacked(&m.store);
-                let bnode = g.leaf_copied(&fused.bias);
-                let proj = g.matmul_prepacked(normed, &fused.packed);
-                let qkv = g.add_row_broadcast(proj, bnode);
+                // Inference: one wide QKV matmul replaces the 3*n_heads
+                // narrow per-head projections (same bits, far better kernel
+                // efficiency); heads become column slices. The store packs
+                // the weight group once per weight generation, so only the
+                // 3*d_model bias row is concatenated per call.
+                let packed = m.store.prepacked_cols(&block.qkv_weights());
+                let proj = g.matmul_prepacked(normed, &packed);
+                let biases: Vec<&Matrix> = block.qkv().map(|l| m.store.value(l.bias())).collect();
+                let bias = g.leaf_copied(&Matrix::hstack(&biases));
+                let qkv = g.add_row_broadcast(proj, bias);
                 let dh = m.config.d_head();
                 for h in 0..m.config.n_heads {
                     let q = g.select_cols(qkv, (h * 3) * dh, dh);
@@ -654,7 +583,7 @@ mod tests {
         let seq = m.wrap(&[7, 8, 9]);
         assert_eq!(seq.first(), Some(&CLS));
         assert_eq!(seq.last(), Some(&SEP));
-        let h = m.encode(&seq);
+        let h = m.encode(&seq, Precision::Exact);
         assert_eq!(h.shape(), (5, m.config.d_model));
     }
 
@@ -729,19 +658,19 @@ mod tests {
         let mut m = model();
         let seq = m.wrap(&[7, 8, 9, 12]);
         m.prepack_weights();
-        let warm = m.encode(&seq);
+        let warm = m.encode(&seq, Precision::Exact);
         for pid in [m.blocks[0].ff1.weight(), m.blocks[0].heads[0].0.weight()] {
             let w = m.store.value_mut(pid);
             let v = w.get(0, 0);
             w.set(0, 0, v + 0.5);
         }
-        let after = m.encode(&seq);
+        let after = m.encode(&seq, Precision::Exact);
         assert_ne!(warm.data(), after.data(), "write had no effect on encode");
         let mut fresh = MiniPlm::new(m.config);
         fresh.import_weights(m.export_weights());
         assert_eq!(
             after.data(),
-            fresh.encode(&seq).data(),
+            fresh.encode(&seq, Precision::Exact).data(),
             "prepacked encode after a weight write diverged from fresh model"
         );
     }
@@ -750,8 +679,8 @@ mod tests {
     fn contextual_representations_depend_on_context() {
         let m = model();
         // Token 9 in two different contexts must embed differently.
-        let a = m.encode(&m.wrap(&[9, 7, 7]));
-        let b = m.encode(&m.wrap(&[9, 30, 31]));
+        let a = m.encode(&m.wrap(&[9, 7, 7]), Precision::Exact);
+        let b = m.encode(&m.wrap(&[9, 30, 31]), Precision::Exact);
         let dist = vector::sq_dist(a.row(1), b.row(1));
         assert!(dist > 1e-4, "contextual reps identical: {dist}");
     }
@@ -760,10 +689,10 @@ mod tests {
     fn rtd_and_nli_heads_produce_valid_outputs() {
         let m = model();
         let seq = m.wrap(&[5, 6, 7]);
-        let rtd = m.rtd_probs(&seq);
+        let rtd = m.rtd_probs(&seq, Precision::Exact);
         assert_eq!(rtd.len(), seq.len());
         assert!(rtd.iter().all(|&p| (0.0..=1.0).contains(&p)));
-        let e = m.nli_entail_prob(&[5, 6, 7], &[8, 9]);
+        let e = m.nli_entail_prob(&[5, 6, 7], &[8, 9], Precision::Exact);
         assert!((0.0..=1.0).contains(&e));
     }
 
@@ -771,7 +700,10 @@ mod tests {
     fn forward_is_deterministic() {
         let m = model();
         let seq = m.wrap(&[5, 9, 13]);
-        assert_eq!(m.encode(&seq).data(), m.encode(&seq).data());
+        assert_eq!(
+            m.encode(&seq, Precision::Exact).data(),
+            m.encode(&seq, Precision::Exact).data()
+        );
     }
 
     #[test]
@@ -781,16 +713,16 @@ mod tests {
         // tape must switch tiers cleanly between passes.
         let m = model();
         let seq = m.wrap(&[5, 9, 13, 21]);
-        let first = m.encode(&seq);
+        let first = m.encode(&seq, Precision::Exact);
         let before = structmine_store::obs::counter_value("plm.graph_scratch_reuse");
-        let second = m.encode(&seq);
+        let second = m.encode(&seq, Precision::Exact);
         assert!(
             structmine_store::obs::counter_value("plm.graph_scratch_reuse") > before,
             "second encode on this thread must reuse the scratch tape"
         );
         assert_eq!(first.data(), second.data());
-        let fast = m.encode_prec(&seq, Precision::Fast);
-        let exact_again = m.encode(&seq);
+        let fast = m.encode(&seq, Precision::Fast);
+        let exact_again = m.encode(&seq, Precision::Exact);
         assert_eq!(first.data(), exact_again.data());
         for (e, f) in first.data().iter().zip(fast.data()) {
             assert!((e - f).abs() < 1e-2, "fast diverged: exact={e} fast={f}");
@@ -802,6 +734,6 @@ mod tests {
     fn overlong_unwrapped_sequence_panics() {
         let m = model();
         let long: Vec<TokenId> = vec![5; 100];
-        m.encode(&long);
+        m.encode(&long, Precision::Exact);
     }
 }

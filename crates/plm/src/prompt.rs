@@ -93,18 +93,8 @@ pub fn cloze_label_scores(
 /// ELECTRA-style RTD scores for each class: build
 /// `[CLS] doc.. [SEP] about <name> [SEP]` and score
 /// `1 - P(replaced)` averaged over the name tokens. Higher = better fit.
+/// The RTD forward passes run on a tape of the given tier.
 pub fn rtd_label_scores(
-    model: &MiniPlm,
-    doc: &[TokenId],
-    label_names: &[Vec<TokenId>],
-    vocab: &Vocab,
-) -> Result<Vec<f32>, PromptError> {
-    rtd_label_scores_prec(model, doc, label_names, vocab, Precision::Exact)
-}
-
-/// [`rtd_label_scores`] at an explicit precision tier (the serving-path
-/// variant: the RTD forward passes run on a tape of that tier).
-pub fn rtd_label_scores_prec(
     model: &MiniPlm,
     doc: &[TokenId],
     label_names: &[Vec<TokenId>],
@@ -128,7 +118,7 @@ pub fn rtd_label_scores_prec(
             let name_start = seq.len();
             seq.extend_from_slice(names);
             seq.push(SEP);
-            let probs = model.rtd_probs_prec(&seq, precision);
+            let probs = model.rtd_probs(&seq, precision);
             let replaced: f32 =
                 (0..names.len()).map(|i| probs[name_start + i]).sum::<f32>() / names.len() as f32;
             1.0 - replaced
@@ -147,7 +137,7 @@ pub fn zero_shot_predict(
     docs.iter()
         .map(|doc| {
             let scores = if electra_style {
-                rtd_label_scores(model, doc, label_names, vocab)?
+                rtd_label_scores(model, doc, label_names, vocab, Precision::Exact)?
             } else {
                 cloze_label_scores(model, doc, label_names, vocab)?
             };
@@ -179,7 +169,7 @@ mod tests {
         let names = vec![vec![10 as TokenId], vec![11], vec![]];
         let doc = &corpus.docs[0].tokens;
         let cloze = cloze_label_scores(&model, doc, &names, &corpus.vocab).unwrap();
-        let rtd = rtd_label_scores(&model, doc, &names, &corpus.vocab).unwrap();
+        let rtd = rtd_label_scores(&model, doc, &names, &corpus.vocab, Precision::Exact).unwrap();
         assert_eq!(cloze.len(), 3);
         assert_eq!(rtd.len(), 3);
         assert_eq!(cloze[2], 0.0);

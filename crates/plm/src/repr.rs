@@ -61,7 +61,7 @@ impl MiniPlm {
     }
 
     /// The mean-pooled vector of each ad-hoc token sequence — the batched,
-    /// counted form of [`MiniPlm::mean_embed_prec`] at the policy's tier.
+    /// counted form of [`MiniPlm::mean_embed`] at the policy's tier.
     /// Rows are bitwise identical for any batching and thread count.
     pub fn mean_embed_docs(&self, docs: &[Vec<TokenId>], policy: &ExecPolicy) -> Vec<Vec<f32>> {
         mean_embed_batch(self, docs, |tokens| tokens.as_slice(), policy)
@@ -87,7 +87,7 @@ fn mean_embed_batch<T: Sync>(
     count_encoded(items.len());
     let prec = policy.precision();
     par_map_chunks(policy, items, |_, item| {
-        model.mean_embed_prec(tokens(item), prec)
+        model.mean_embed(tokens(item), prec)
     })
 }
 
@@ -95,7 +95,7 @@ fn mean_embed_batch<T: Sync>(
 /// code path shared by corpus-level and ad-hoc batched encoding.
 fn encode_one(model: &MiniPlm, i: usize, tokens: &[TokenId], precision: Precision) -> DocRep {
     let seq = model.wrap(tokens);
-    let h = model.encode_prec(&seq, precision);
+    let h = model.encode(&seq, precision);
     let body: Vec<usize> = (1..seq.len() - 1).collect();
     let rows: Vec<&[f32]> = body.iter().map(|&r| h.row(r)).collect();
     let mean = if rows.is_empty() {
@@ -162,17 +162,12 @@ pub fn doc_mean_reps(model: &MiniPlm, corpus: &Corpus) -> Matrix {
     doc_mean_reps_with(model, corpus, ExecPolicy::global())
 }
 
-/// Token-level hidden states of one document: row `i` corresponds to
-/// `tokens[i]` (CLS/SEP rows are stripped). Truncated to the model's
-/// maximum length.
-pub fn token_reps(model: &MiniPlm, tokens: &[TokenId]) -> Matrix {
-    token_reps_prec(model, tokens, Precision::Exact)
-}
-
-/// [`token_reps`] at an explicit precision tier.
-pub fn token_reps_prec(model: &MiniPlm, tokens: &[TokenId], precision: Precision) -> Matrix {
+/// Token-level hidden states of one document at the given tier: row `i`
+/// corresponds to `tokens[i]` (CLS/SEP rows are stripped). Truncated to the
+/// model's maximum length.
+pub fn token_reps(model: &MiniPlm, tokens: &[TokenId], precision: Precision) -> Matrix {
     let seq = model.wrap(tokens);
-    let h = model.encode_prec(&seq, precision);
+    let h = model.encode(&seq, precision);
     h.select_rows(&(1..seq.len() - 1).collect::<Vec<_>>())
 }
 
@@ -237,7 +232,7 @@ pub fn occurrence_reps_with(
     }
     let prec = policy.precision();
     let per_doc = par_map_chunks(policy, &plan, |_, (d, positions)| {
-        let reps = token_reps_prec(model, &corpus.docs[*d].tokens, prec);
+        let reps = token_reps(model, &corpus.docs[*d].tokens, prec);
         positions
             .iter()
             .map(|&p| Occurrence {
@@ -275,7 +270,7 @@ pub fn occurrence_reps_multi(
     let prec = policy.precision();
     let per_doc = par_map_chunks(policy, &hits, |_, &d| {
         let doc = &corpus.docs[d];
-        let reps = token_reps_prec(model, &doc.tokens, prec);
+        let reps = token_reps(model, &doc.tokens, prec);
         doc.tokens
             .iter()
             .take(budget)
@@ -304,7 +299,7 @@ pub fn occurrence_reps_multi(
 /// Entailment probability of every (document, hypothesis) pair
 /// (`n_docs x n_hypotheses`), sharing documents across the policy's
 /// threads. Row `i` column `c` equals
-/// `model.nli_entail_prob(&corpus.docs[i].tokens, &hypotheses[c])`.
+/// `model.nli_entail_prob(&corpus.docs[i].tokens, &hypotheses[c], policy.precision())`.
 pub fn nli_entail_matrix(
     model: &MiniPlm,
     corpus: &Corpus,
@@ -315,7 +310,7 @@ pub fn nli_entail_matrix(
     let rows = par_map_chunks(policy, &corpus.docs, |_, doc| {
         hypotheses
             .iter()
-            .map(|h| model.nli_entail_prob_prec(&doc.tokens, h, prec))
+            .map(|h| model.nli_entail_prob(&doc.tokens, h, prec))
             .collect::<Vec<f32>>()
     });
     let refs: Vec<&[f32]> = rows.iter().map(Vec::as_slice).collect();
@@ -345,7 +340,7 @@ mod tests {
         let corpus = recipes::pretraining_corpus(2, 2);
         let model = MiniPlm::new(PlmConfig::tiny(corpus.vocab.len()));
         let tokens = &corpus.docs[0].tokens;
-        let reps = token_reps(&model, tokens);
+        let reps = token_reps(&model, tokens, Precision::Exact);
         let expected = tokens.len().min(model.config.max_len - 2);
         assert_eq!(reps.rows(), expected);
     }
@@ -376,8 +371,11 @@ mod tests {
         for (i, rep) in reps.iter().enumerate() {
             assert_eq!(rep.doc, i);
             let tokens = &corpus.docs[i].tokens;
-            assert_eq!(rep.tokens.data(), token_reps(&model, tokens).data());
-            assert_eq!(rep.mean, model.mean_embed(tokens));
+            assert_eq!(
+                rep.tokens.data(),
+                token_reps(&model, tokens, Precision::Exact).data()
+            );
+            assert_eq!(rep.mean, model.mean_embed(tokens, Precision::Exact));
         }
     }
 
@@ -466,7 +464,10 @@ mod tests {
         assert_eq!(m.shape(), (4, 2));
         for (i, doc) in corpus.docs.iter().enumerate() {
             for (c, h) in hyps.iter().enumerate() {
-                assert_eq!(m.row(i)[c], model.nli_entail_prob(&doc.tokens, h));
+                assert_eq!(
+                    m.row(i)[c],
+                    model.nli_entail_prob(&doc.tokens, h, Precision::Exact)
+                );
             }
         }
     }

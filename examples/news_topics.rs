@@ -15,6 +15,7 @@ use structmine::westclass::WeSTClass;
 use structmine::xclass::XClass;
 use structmine_embed::{Sgns, SgnsConfig};
 use structmine_eval::accuracy;
+use structmine_linalg::Precision;
 use structmine_plm::cache::{pretrained, Tier};
 use structmine_text::synth::recipes;
 
@@ -80,10 +81,10 @@ fn main() {
         .filter(|&t| t != structmine_text::vocab::UNK)
         .collect();
     let names = data.label_name_tokens();
-    let doc_rep = plm.mean_embed(&tokens);
+    let doc_rep = plm.mean_embed(&tokens, Precision::Exact);
     let scores: Vec<f32> = names
         .iter()
-        .map(|n| structmine_linalg::vector::cosine(&doc_rep, &plm.mean_embed(n)))
+        .map(|n| structmine_linalg::vector::cosine(&doc_rep, &plm.mean_embed(n, Precision::Exact)))
         .collect();
     let best = structmine_linalg::vector::argmax(&scores).unwrap();
     println!("\nheadline: \"{headline}\"");

@@ -108,7 +108,10 @@ macro_rules! impl_uint {
                         .map_err(|_| Error::msg("integer out of range")),
                     Value::Int(i) => <$t>::try_from(*i)
                         .map_err(|_| Error::msg("integer out of range")),
-                    Value::Float(f) if f.fract() == 0.0 && *f >= 0.0 => Ok(*f as $t),
+                    // `as i128` is exact for every integral float an
+                    // integer type here can hold, and saturates the rest.
+                    Value::Float(f) if f.fract() == 0.0 => <$t>::try_from(*f as i128)
+                        .map_err(|_| Error::msg("integer out of range")),
                     _ => Err(Error::msg(concat!("expected ", stringify!($t)))),
                 }
             }
@@ -132,7 +135,10 @@ macro_rules! impl_int {
                         .map_err(|_| Error::msg("integer out of range")),
                     Value::Int(i) => <$t>::try_from(*i)
                         .map_err(|_| Error::msg("integer out of range")),
-                    Value::Float(f) if f.fract() == 0.0 => Ok(*f as $t),
+                    // `as i128` is exact for every integral float an
+                    // integer type here can hold, and saturates the rest.
+                    Value::Float(f) if f.fract() == 0.0 => <$t>::try_from(*f as i128)
+                        .map_err(|_| Error::msg("integer out of range")),
                     _ => Err(Error::msg(concat!("expected ", stringify!($t)))),
                 }
             }

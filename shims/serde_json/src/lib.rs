@@ -24,6 +24,7 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.parse_value()?;
     p.skip_ws();
@@ -101,9 +102,16 @@ fn write_string(s: &str, out: &mut String) {
 
 // ------------------------------------------------------------------ parser
 
+/// Deepest array/object nesting the parser accepts (serde_json's own
+/// limit): the parser recurses once per level, so deeper input is an error
+/// instead of a stack overflow.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -137,14 +145,27 @@ impl Parser<'_> {
 
     fn parse_value(&mut self) -> Result<Value, Error> {
         match self.peek()? {
-            b'{' => self.parse_object(),
-            b'[' => self.parse_array(),
+            b'{' => self.nested(Self::parse_object),
+            b'[' => self.nested(Self::parse_array),
             b'"' => Ok(Value::Str(self.parse_string()?)),
             b't' => self.parse_lit("true", Value::Bool(true)),
             b'f' => self.parse_lit("false", Value::Bool(false)),
             b'n' => self.parse_lit("null", Value::Null),
             _ => self.parse_number(),
         }
+    }
+
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::msg(format!(
+                "JSON nested deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn parse_lit(&mut self, lit: &str, v: Value) -> Result<Value, Error> {
@@ -282,10 +303,12 @@ impl Parser<'_> {
                 .map(Value::Float)
                 .map_err(|_| Error::msg("invalid float"))
         } else if let Some(stripped) = text.strip_prefix('-') {
-            stripped
+            let magnitude = stripped
                 .parse::<u64>()
-                .map(|u| Value::Int(-(u as i64)))
-                .map_err(|_| Error::msg("invalid integer"))
+                .map_err(|_| Error::msg("invalid integer"))?;
+            i64::try_from(-i128::from(magnitude))
+                .map(Value::Int)
+                .map_err(|_| Error::msg("integer out of range"))
         } else {
             text.parse::<u64>()
                 .map(Value::UInt)
@@ -315,11 +338,108 @@ mod tests {
         assert_eq!(back, v);
     }
 
+    /// Artifact and checkpoint byte-identity rests on every finite f32
+    /// surviving text bit for bit: a strided sweep over all bit patterns
+    /// (every sign and exponent), plus the edges the stride can miss.
     #[test]
     fn float_precision_survives() {
         let v = vec![0.1f32, 1.0e-7, 3.402_823_5e38, f32::MIN_POSITIVE];
         let back: Vec<f32> = from_str(&to_string(&v).unwrap()).unwrap();
         assert_eq!(back, v);
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        let sweep: Vec<f32> = (0..=u32::MAX)
+            .step_by(4099)
+            .map(f32::from_bits)
+            .filter(|f| f.is_finite())
+            .chain([-0.0, f32::from_bits(1), f32::MAX, f32::MIN])
+            .collect();
+        assert!(sweep.len() > 1_000_000);
+        for chunk in sweep.chunks(1 << 16) {
+            let back: Vec<f32> = from_str(&to_string(&chunk.to_vec()).unwrap()).unwrap();
+            assert_eq!(bits(&back), bits(chunk));
+        }
+    }
+
+    #[test]
+    fn i64_bounds_parse_and_overflow_fails() {
+        assert_eq!(from_str::<i64>("-9223372036854775808").unwrap(), i64::MIN);
+        assert_eq!(from_str::<i64>("9223372036854775807").unwrap(), i64::MAX);
+        assert!(from_str::<i64>("-9223372036854775809").is_err());
+        assert!(from_str::<i64>("9223372036854775808").is_err());
+    }
+
+    #[test]
+    fn floats_no_integer_type_can_hold_fail() {
+        assert!(from_str::<u8>("1e3").is_err());
+        assert!(from_str::<u64>("1e20").is_err());
+        assert!(from_str::<i32>("-3e9").is_err());
+        assert!(from_str::<usize>("-1.0").is_err());
+        assert_eq!(from_str::<u8>("2e2").unwrap(), 200);
+        assert_eq!(from_str::<i64>("-1e3").unwrap(), -1000);
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(from_str::<serde::Value>(&nested(MAX_DEPTH)).is_ok());
+        assert!(from_str::<serde::Value>(&nested(MAX_DEPTH + 1)).is_err());
+        assert!(from_str::<serde::Value>(&"[".repeat(100_000)).is_err());
+        assert!(from_str::<serde::Value>(&"{\"a\":".repeat(100_000)).is_err());
+    }
+
+    #[derive(Serialize, Deserialize, Debug, PartialEq)]
+    struct Weights {
+        rows: usize,
+        cols: usize,
+        data: Vec<f32>,
+    }
+
+    #[derive(Serialize, Deserialize, Debug, PartialEq)]
+    struct Checkpoint {
+        name: String,
+        seed: u64,
+        weights: Vec<Weights>,
+    }
+
+    /// Damaged checkpoint text fails closed: every truncation is an error,
+    /// a flipped byte never panics, and a flipped structural byte is an
+    /// error.
+    #[test]
+    fn damaged_checkpoint_text_is_an_error_not_a_panic() {
+        let checkpoint = Checkpoint {
+            name: "b0.h0.q".into(),
+            seed: 41,
+            weights: vec![
+                Weights {
+                    rows: 2,
+                    cols: 3,
+                    data: vec![0.5, -1.25e-3, 3.0, 0.0, -0.0, 7.5e20],
+                },
+                Weights {
+                    rows: 1,
+                    cols: 1,
+                    data: vec![f32::MIN_POSITIVE],
+                },
+            ],
+        };
+        let text = to_vec(&checkpoint).unwrap();
+        assert_eq!(from_slice::<Checkpoint>(&text).unwrap(), checkpoint);
+        for len in 0..text.len() {
+            assert!(
+                from_slice::<Checkpoint>(&text[..len]).is_err(),
+                "prefix {len}"
+            );
+        }
+        for (i, &byte) in text.iter().enumerate() {
+            for bit in 0..8 {
+                let mut flipped = text.clone();
+                flipped[i] ^= 1 << bit;
+                let parsed = from_slice::<Checkpoint>(&flipped);
+                if b"{}[]:,\"".contains(&byte) {
+                    assert!(parsed.is_err(), "byte {i} bit {bit}");
+                }
+            }
+        }
     }
 
     #[test]
