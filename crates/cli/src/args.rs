@@ -1,5 +1,7 @@
 //! Hand-rolled argument parsing (no external dependency).
 
+use structmine_plm::cache::Tier;
+
 /// Usage text shown by `--help` and on parse errors.
 pub const USAGE: &str = "\
 structmine — weakly-supervised text classification
@@ -20,12 +22,13 @@ USAGE:
                     [--precision exact|fast]
                     [--no-cache | --cache-dir <dir>] [--faults <plan>]
                     [--report-json <path>]
-      Stream documents into a generational corpus. Reads stdin (or --input);
-      each blank-line-delimited batch is appended as the corpus's next
-      generation and classified immediately — 'generation<TAB>g' then one
+      Stream documents through the classifier. Reads stdin (or --input);
+      ingest numbers each blank-line-delimited batch as the corpus's next
+      generation and classifies it immediately — 'generation<TAB>g' then one
       prediction line per document, flushed per batch, so
-      'tail -f log | structmine ingest ...' works. The serving rule stays
-      frozen, so prediction lines are byte-identical to classify.
+      'tail -f log | structmine ingest ...' works. No document is kept. The
+      serving rule stays frozen, so prediction lines are byte-identical to
+      classify.
 
   structmine shard --labels <a,b,c> [--shards <n>] [--method xclass|lotclass|prompt|match]
                    [--input <file>] [--tier test|standard] [--threads <n>]
@@ -90,7 +93,7 @@ pub enum Args {
         /// Input path; `None` = stdin.
         input: Option<String>,
         /// PLM tier.
-        tier: String,
+        tier: Tier,
         /// Worker threads for PLM inference; `None` = environment default.
         threads: Option<usize>,
         /// Inference precision tier; `None` = environment default (Exact).
@@ -107,7 +110,7 @@ pub enum Args {
         /// Input path; `None` = stdin.
         input: Option<String>,
         /// PLM tier.
-        tier: String,
+        tier: Tier,
         /// Worker threads for PLM inference; `None` = environment default.
         threads: Option<usize>,
         /// Worker processes; `None` = `STRUCTMINE_SHARDS`, else 1.
@@ -126,7 +129,7 @@ pub enum Args {
         /// Input path; `None` = stdin (streaming, batch per blank line).
         input: Option<String>,
         /// PLM tier.
-        tier: String,
+        tier: Tier,
         /// Worker threads for PLM inference; `None` = environment default.
         threads: Option<usize>,
         /// Inference precision tier; `None` = environment default (Exact).
@@ -234,6 +237,11 @@ pub fn parse(argv: &[String]) -> Result<Args, ParseError> {
         .get("precision")
         .map(|s| structmine_linalg::Precision::parse(s).map_err(ParseError))
         .transpose()?;
+    let tier = flags
+        .get("tier")
+        .map(|s| Tier::parse(s).map_err(ParseError))
+        .transpose()?
+        .unwrap_or(Tier::Test);
 
     let cache = CacheArgs {
         no_cache: flags.contains_key("no-cache"),
@@ -269,7 +277,6 @@ pub fn parse(argv: &[String]) -> Result<Args, ParseError> {
                 .cloned()
                 .unwrap_or_else(|| "xclass".into());
             let input = flags.get("input").cloned();
-            let tier = flags.get("tier").cloned().unwrap_or_else(|| "test".into());
             Ok(match cmd {
                 "classify" => Args::Classify {
                     labels,
@@ -349,7 +356,7 @@ mod tests {
                 labels: vec!["sports".into(), "business".into()],
                 method: "xclass".into(),
                 input: None,
-                tier: "test".into(),
+                tier: Tier::Test,
                 threads: None,
                 precision: None,
                 cache: CacheArgs::default(),
@@ -366,7 +373,7 @@ mod tests {
                 labels: vec!["sports".into(), "business".into()],
                 method: "xclass".into(),
                 input: None,
-                tier: "test".into(),
+                tier: Tier::Test,
                 threads: None,
                 precision: None,
                 cache: CacheArgs::default(),
@@ -518,6 +525,25 @@ mod tests {
     }
 
     #[test]
+    fn parses_tier_flag_and_rejects_unknown_tiers() {
+        let a = parse(&sv(&["ingest", "--labels", "a,b", "--tier", " Standard "])).unwrap();
+        assert!(matches!(
+            a,
+            Args::Ingest {
+                tier: Tier::Standard,
+                ..
+            }
+        ));
+        for bad in ["standrad", "", "tiny"] {
+            let e = parse(&sv(&["classify", "--labels", "a,b", "--tier", bad]));
+            assert!(
+                matches!(e, Err(ParseError(ref m)) if m.contains("unknown tier")),
+                "{bad:?}: {e:?}"
+            );
+        }
+    }
+
+    #[test]
     fn rejects_single_label() {
         assert!(parse(&sv(&["classify", "--labels", "sports"])).is_err());
     }
@@ -568,7 +594,7 @@ mod tests {
                 labels: vec!["a".into(), "b".into()],
                 method: "xclass".into(),
                 input: None,
-                tier: "test".into(),
+                tier: Tier::Test,
                 threads: None,
                 shards: Some(4),
                 precision: None,

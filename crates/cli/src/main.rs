@@ -13,12 +13,12 @@
 //! `classify` reads one document per line (stdin or `--input`) and routes it
 //! through [`structmine_engine::Engine`] — the same load-once/run-many entry
 //! point used by `structmine-serve` — printing one
-//! `label<TAB>confidence<TAB>doc` line per input. `ingest` streams documents
-//! into a generational corpus: each blank-line-delimited batch becomes the
-//! next generation and is classified immediately (receipt line plus the
-//! same prediction lines `classify` prints), flushed per batch so piping
-//! `tail -f` works. `demo` runs a method on a synthetic recipe and reports
-//! test accuracy. `datasets` lists the available recipes.
+//! `label<TAB>confidence<TAB>doc` line per input. `ingest` numbers each
+//! blank-line-delimited batch as the corpus's next generation and
+//! classifies it immediately (receipt line plus the same prediction lines
+//! `classify` prints), flushed per batch so piping `tail -f` works. `demo`
+//! runs a method on a synthetic recipe and reports test accuracy.
+//! `datasets` lists the available recipes.
 //!
 //! Failures surface as [`PipelineError`]s: usage-level mistakes (unknown
 //! method/recipe, malformed `--faults` plan, bad input) exit with code 2,
@@ -26,6 +26,7 @@
 
 use std::io::BufRead;
 use std::process::ExitCode;
+use structmine_plm::cache::Tier;
 use structmine_store::PipelineError;
 
 mod args;
@@ -199,14 +200,6 @@ fn engine_error(e: structmine_engine::EngineError) -> PipelineError {
     }
 }
 
-fn plm_tier(tier: &str) -> structmine_plm::cache::Tier {
-    if tier == "standard" {
-        structmine_plm::cache::Tier::Standard
-    } else {
-        structmine_plm::cache::Tier::Test
-    }
-}
-
 /// Read non-empty document lines from `--input` (or stdin), erroring on an
 /// empty document set. Shared by `classify` and the shard coordinator, so
 /// both commands see the identical line list.
@@ -237,7 +230,7 @@ fn classify(
     labels: Vec<String>,
     method: String,
     input: Option<String>,
-    tier: String,
+    tier: Tier,
     exec: structmine_linalg::ExecPolicy,
 ) -> Result<(), PipelineError> {
     let lines = read_documents(&input)?;
@@ -246,7 +239,7 @@ fn classify(
         lines.len(),
         labels
     ));
-    let engine = serving_engine(labels, &method, &tier, exec)?;
+    let engine = serving_engine(labels, &method, tier, exec)?;
     let preds = engine.classify(&lines).map_err(engine_error)?;
     for (pred, line) in preds.iter().zip(&lines) {
         println!("{}", structmine_engine::format_prediction_line(pred, line));
@@ -259,7 +252,7 @@ fn classify(
 fn serving_engine(
     labels: Vec<String>,
     method: &str,
-    tier: &str,
+    tier: Tier,
     exec: structmine_linalg::ExecPolicy,
 ) -> Result<structmine_engine::Engine, PipelineError> {
     let kind = structmine_engine::MethodKind::parse(method)
@@ -272,7 +265,7 @@ fn serving_engine(
     structmine_engine::Engine::load(structmine_engine::EngineConfig {
         source: structmine_engine::EngineSource::Labels(labels),
         method: kind,
-        plm: structmine_engine::PlmSpec::Pretrained(plm_tier(tier)),
+        plm: structmine_engine::PlmSpec::Pretrained(tier),
         seed: None,
         exec,
     })
@@ -291,7 +284,7 @@ const JOB_SEP: char = '\u{1f}';
 fn encode_classify_job(
     labels: &[String],
     method: &str,
-    tier: &str,
+    tier: Tier,
     precision: structmine_linalg::Precision,
     input: &std::path::Path,
 ) -> String {
@@ -299,7 +292,7 @@ fn encode_classify_job(
         "classify",
         &labels.join(","),
         method,
-        tier,
+        tier.name(),
         precision.name(),
         &input.display().to_string(),
     ]
@@ -334,6 +327,7 @@ fn worker_job(spec: &structmine_shard::WorkerSpec) -> Result<Vec<u8>, PipelineEr
         ["classify", labels, method, tier, precision, input] => {
             let precision = structmine_linalg::Precision::parse(precision)
                 .map_err(PipelineError::InvalidInput)?;
+            let tier = Tier::parse(tier).map_err(PipelineError::InvalidInput)?;
             let labels: Vec<String> = labels.split(',').map(str::to_string).collect();
             let lines = read_documents(&Some(input.to_string()))?;
             let range =
@@ -369,7 +363,7 @@ fn shard(
     labels: Vec<String>,
     method: String,
     input: Option<String>,
-    tier: String,
+    tier: Tier,
     shards: Option<usize>,
     exec: structmine_linalg::ExecPolicy,
 ) -> Result<(), PipelineError> {
@@ -411,7 +405,7 @@ fn shard(
     })?;
     let make = |_i: usize, _spec: &std::path::Path| std::process::Command::new(&exe);
     let jobs =
-        vec![encode_classify_job(&labels, &method, &tier, exec.precision(), &input_path); shards];
+        vec![encode_classify_job(&labels, &method, tier, exec.precision(), &input_path); shards];
     let (outputs, outcomes) = sup.run(&jobs, &make, &worker_job)?;
 
     let stdout = std::io::stdout();
@@ -438,19 +432,19 @@ fn shard(
 }
 
 /// `structmine ingest`: stream blank-line-delimited batches of documents
-/// into a generational corpus. Each batch is appended as the next
-/// generation and classified immediately — a `generation<TAB>g` receipt
-/// line, then one prediction line per document, flushed per batch so
+/// through the engine. Each batch is numbered as the next generation and
+/// classified immediately — a `generation<TAB>g` receipt line, then one
+/// prediction line per document, flushed per batch so
 /// `tail -f log | structmine ingest ...` emits results as batches arrive.
 fn ingest(
     labels: Vec<String>,
     method: String,
     input: Option<String>,
-    tier: String,
+    tier: Tier,
     exec: structmine_linalg::ExecPolicy,
 ) -> Result<(), PipelineError> {
     use std::io::Write as _;
-    let engine = serving_engine(labels, &method, &tier, exec)?;
+    let engine = serving_engine(labels, &method, tier, exec)?;
     engine.warm().map_err(engine_error)?;
 
     let mut total = 0usize;
@@ -529,7 +523,7 @@ fn demo(
             seed,
         },
         method: kind,
-        plm: structmine_engine::PlmSpec::Pretrained(structmine_plm::cache::Tier::Test),
+        plm: structmine_engine::PlmSpec::Pretrained(Tier::Test),
         seed: None,
         exec,
     })

@@ -5,7 +5,7 @@
 //! occurrences of each seed word to split senses; the "vanilla BERT
 //! representations" figure clusters average-pooled embeddings with k-means
 //! and aligns clusters to classes with the Hungarian algorithm. This crate
-//! provides those pieces: [`kmeans`], [`gmm`], [`align`] (Hungarian +
+//! provides those pieces: [`kmeans`](mod@kmeans), [`gmm`], [`align`] (Hungarian +
 //! confusion matrices) and quality measures in [`quality`].
 
 pub mod align;

@@ -184,12 +184,6 @@ pub enum EngineError {
     Method(structmine::MethodError),
     /// A corpus delta was rejected (out of order, duplicate, bad tokens).
     Delta(DeltaError),
-    /// The configured generation ceiling (`STRUCTMINE_GENERATION_LIMIT`)
-    /// was reached; the corpus accepts no further deltas.
-    GenerationLimit {
-        /// The configured ceiling.
-        limit: Generation,
-    },
     /// An engine invariant broke — a bug or unsupported internal state,
     /// not a usage error. Servers map this onto HTTP 500; the CLI treats
     /// it as a persistent failure.
@@ -219,11 +213,6 @@ impl std::fmt::Display for EngineError {
             }
             EngineError::Method(e) => write!(f, "{e}"),
             EngineError::Delta(e) => write!(f, "{e}"),
-            EngineError::GenerationLimit { limit } => write!(
-                f,
-                "generation limit {limit} reached (STRUCTMINE_GENERATION_LIMIT); \
-                 no further deltas accepted"
-            ),
             EngineError::Internal { what } => write!(f, "internal engine error: {what}"),
         }
     }
@@ -295,16 +284,6 @@ enum ServeModel {
     },
 }
 
-/// The engine's streaming state: the generational corpus (base = the fit
-/// dataset's corpus) plus the predictions made for every ingested document.
-/// Built lazily on the first [`Engine::ingest`]; the serving rule itself
-/// stays frozen on the generation-0 fit, so `classify` output is unaffected
-/// by ingestion.
-struct IngestState {
-    delta: DeltaCorpus,
-    preds: Vec<Prediction>,
-}
-
 /// A loaded classification engine: dataset + PLM + lazily fitted models.
 ///
 /// `Engine` is `Send + Sync`; clones of the fitted state are shared via
@@ -319,7 +298,10 @@ pub struct Engine {
     model: Mutex<Option<Arc<ServeModel>>>,
     xout: Mutex<Option<Arc<XClassOutput>>>,
     preds: Mutex<Option<Arc<Vec<usize>>>>,
-    ingest: Mutex<Option<IngestState>>,
+    /// The generation stamp of the ingest stream (base = the fit corpus).
+    /// The serving rule stays frozen on the generation-0 fit, so `classify`
+    /// output is unaffected by ingestion.
+    ingest: Mutex<DeltaCorpus>,
 }
 
 impl Engine {
@@ -350,6 +332,7 @@ impl Engine {
             plm.prepack_weights();
         }
         let name_tokens = dataset.label_name_tokens();
+        let ingest = Mutex::new(DeltaCorpus::from_corpus(&dataset.corpus));
         Ok(Engine {
             method: config.method,
             dataset,
@@ -360,7 +343,7 @@ impl Engine {
             model: Mutex::new(None),
             xout: Mutex::new(None),
             preds: Mutex::new(None),
-            ingest: Mutex::new(None),
+            ingest,
         })
     }
 
@@ -376,9 +359,9 @@ impl Engine {
 
     /// A twin of this engine serving at `precision`: it shares the fit
     /// dataset and the loaded PLM (cheap — the PLM is behind an `Arc`),
-    /// but fits its serving models fresh under the new tier. Ingest state
-    /// is not carried over. This is how the tolerance harness puts an
-    /// Exact and a Fast rule side by side without loading twice.
+    /// but fits its serving models fresh under the new tier. Its ingest
+    /// stream starts at generation 0. This is how the tolerance harness
+    /// puts an Exact and a Fast rule side by side without loading twice.
     pub fn at_precision(&self, precision: Precision) -> Engine {
         if let Some(plm) = &self.plm {
             // Normally a warm no-op (load() already packed); covers PLMs
@@ -395,7 +378,7 @@ impl Engine {
             model: Mutex::new(None),
             xout: Mutex::new(None),
             preds: Mutex::new(None),
-            ingest: Mutex::new(None),
+            ingest: Mutex::new(DeltaCorpus::from_corpus(&self.dataset.corpus)),
         }
     }
 
@@ -433,18 +416,7 @@ impl Engine {
 
     /// The corpus's current generation (0 until the first ingest).
     pub fn generation(&self) -> Generation {
-        self.ingest
-            .lock()
-            .as_ref()
-            .map_or(0, |s| s.delta.generation())
-    }
-
-    /// Predictions for every document ingested so far, in stream order.
-    pub fn ingested_predictions(&self) -> Vec<Prediction> {
-        self.ingest
-            .lock()
-            .as_ref()
-            .map_or_else(Vec::new, |s| s.preds.clone())
+        self.ingest.lock().generation()
     }
 
     /// Ingest a batch of raw text documents as the corpus's next
@@ -453,37 +425,25 @@ impl Engine {
     /// The documents are tokenized against the frozen fit vocabulary and
     /// scored by exactly the per-document path `classify` uses, so each
     /// returned prediction is byte-identical to `classify` on the same
-    /// line. Only then are they appended as a [`DeltaCorpus`] delta
-    /// (corpus statistics update incrementally); a scoring error leaves
-    /// the generation where it was. The serving rule never refits and
-    /// scores each document alone, so an ingest costs O(delta): no
-    /// earlier generation is encoded or read again.
+    /// line. Only then is the batch stamped as the next [`DeltaCorpus`]
+    /// generation; a scoring error leaves the generation where it was.
+    /// The stamp lock is held across scoring, so concurrent ingests are
+    /// serialized and their receipts are gap-free. The serving rule never
+    /// refits and scores each document alone, and no document is kept, so
+    /// an ingest costs O(delta) time and O(1) retained memory.
     pub fn ingest(&self, lines: &[String]) -> Result<Ingested, EngineError> {
         let _stage = structmine_store::context::stage_guard("engine/ingest");
         let model = self.serve_model()?; // transductive methods refuse here
-        let mut slot = self.ingest.lock();
-        let st = slot.get_or_insert_with(|| IngestState {
-            delta: DeltaCorpus::from_corpus(self.dataset.corpus.clone()),
-            preds: Vec::new(),
-        });
-        if let Some(limit) = generation_limit() {
-            if st.delta.generation() >= limit {
-                return Err(EngineError::GenerationLimit { limit });
-            }
-        }
+        let mut stamp = self.ingest.lock();
         let docs: Vec<Vec<TokenId>> = lines.iter().map(|l| self.tokenize(l)).collect();
         let probs = self.proba_for_tokens(&model, &docs)?;
-        let delta = st
-            .delta
-            .next_delta(docs.into_iter().map(Doc::from_tokens).collect());
-        let generation = st.delta.apply(delta).map_err(EngineError::Delta)?;
-        let predictions: Vec<Prediction> = probs.iter().map(|p| self.to_prediction(p)).collect();
-        st.preds.extend(predictions.iter().cloned());
+        let delta = stamp.next_delta(docs.into_iter().map(Doc::from_tokens).collect());
+        let generation = stamp.apply(delta).map_err(EngineError::Delta)?;
         structmine_store::obs::counter_add("engine.generation", 1);
         structmine_store::obs::counter_add("engine.ingested_docs", lines.len() as u64);
         Ok(Ingested {
             generation,
-            predictions,
+            predictions: probs.iter().map(|p| self.to_prediction(p)).collect(),
         })
     }
 
@@ -832,15 +792,6 @@ impl Engine {
     }
 }
 
-/// The optional generation ceiling: `STRUCTMINE_GENERATION_LIMIT=<n>`
-/// caps how many ingest deltas an engine accepts (malformed values are
-/// ignored). Unset means unlimited.
-fn generation_limit() -> Option<Generation> {
-    std::env::var("STRUCTMINE_GENERATION_LIMIT")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-}
-
 /// Turn raw per-class scores into a probability row, with the same
 /// sharpening PromptClass applies before its softmax.
 fn sharpened_softmax(mut scores: Vec<f32>) -> Vec<f32> {
@@ -983,6 +934,13 @@ mod tests {
                 method: "westclass"
             }
         ));
+        assert!(matches!(
+            engine.ingest(&["some document".to_string()]),
+            Err(EngineError::Unsupported {
+                method: "westclass"
+            })
+        ));
+        assert_eq!(engine.generation(), 0, "a refused ingest takes no stamp");
     }
 
     #[test]
@@ -1046,19 +1004,54 @@ mod tests {
         // byte-identical, and the generation counters must reflect the
         // split.
         let split = test_engine_threads(MethodKind::Match, 1);
-        split.ingest(&lines[..2]).unwrap();
-        split.ingest(&lines[2..]).unwrap();
+        let mut split_preds = split.ingest(&lines[..2]).unwrap().predictions;
+        split_preds.extend(split.ingest(&lines[2..]).unwrap().predictions);
         assert_eq!(split.generation(), 2);
 
         let whole = test_engine_threads(MethodKind::Match, 4);
-        whole.ingest(&lines).unwrap();
+        let whole_preds = whole.ingest(&lines).unwrap().predictions;
         assert_eq!(whole.generation(), 1);
 
-        assert_eq!(split.ingested_predictions(), whole.ingested_predictions());
-        assert_eq!(
-            whole.ingested_predictions(),
-            whole.classify(&lines).unwrap()
-        );
+        assert_eq!(split_preds, whole_preds);
+        assert_eq!(whole_preds, whole.classify(&lines).unwrap());
+    }
+
+    #[test]
+    fn concurrent_ingests_get_gap_free_receipts() {
+        let engine = test_engine(MethodKind::Match);
+        engine.warm().unwrap();
+        let lines = stream_lines();
+        // 4 threads x 3 ingests of 1..=4 lines each, released together: the
+        // stamp lock is held across scoring, so the 12 receipts are exactly
+        // 1..=12 and each thread sees its own receipts in call order.
+        let start = std::sync::Barrier::new(4);
+        let mut receipts: Vec<Generation> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|t| {
+                    let (engine, lines, start) = (&engine, &lines, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        let mine: Vec<Generation> = (0..3)
+                            .map(|k| {
+                                let batch = &lines[(t + k) % lines.len()..];
+                                let ingested = engine.ingest(batch).unwrap();
+                                assert_eq!(ingested.predictions, engine.classify(batch).unwrap());
+                                ingested.generation
+                            })
+                            .collect();
+                        assert!(mine.windows(2).all(|w| w[0] < w[1]), "{mine:?}");
+                        mine
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap())
+                .collect()
+        });
+        receipts.sort_unstable();
+        assert_eq!(receipts, (1..=12).collect::<Vec<_>>());
+        assert_eq!(engine.generation(), 12);
     }
 
     #[test]
@@ -1075,10 +1068,9 @@ mod tests {
     fn generation_starts_at_zero_and_counts_deltas() {
         let engine = test_engine(MethodKind::Match);
         assert_eq!(engine.generation(), 0);
-        assert!(engine.ingested_predictions().is_empty());
-        engine.ingest(&stream_lines()[..1]).unwrap();
+        let ingested = engine.ingest(&stream_lines()[..1]).unwrap();
+        assert_eq!((ingested.generation, ingested.predictions.len()), (1, 1));
         assert_eq!(engine.generation(), 1);
-        assert_eq!(engine.ingested_predictions().len(), 1);
     }
 
     #[test]

@@ -279,61 +279,12 @@ where
 
 /// Fill the rows of a pre-allocated row-major buffer in parallel,
 /// deterministically. `out.len()` must equal `n_rows * row_len`; worker
-/// `c` fills the `c`-th fixed chunk of rows in place via
-/// `f(row_index, row_slice)`. Used by the matmul hot path to avoid any
-/// per-row allocation.
-pub fn par_fill_rows<F>(policy: &ExecPolicy, n_rows: usize, row_len: usize, out: &mut [f32], f: F)
-where
-    F: Fn(usize, &mut [f32]) + Sync,
-{
-    assert_eq!(
-        out.len(),
-        n_rows * row_len,
-        "par_fill_rows buffer shape mismatch"
-    );
-    if row_len == 0 {
-        return;
-    }
-    structmine_store::obs::counter_add("exec.par_calls", 1);
-    structmine_store::obs::counter_add("exec.par_items", n_rows as u64);
-    if !policy.is_parallel_for(n_rows) {
-        // One chunk, like the serial path of `par_map_chunks`.
-        structmine_store::obs::counter_add("exec.thread_chunks", 1);
-        for (i, row) in out.chunks_exact_mut(row_len).enumerate() {
-            f(i, row);
-        }
-        return;
-    }
-    let bounds = chunk_bounds(n_rows, policy.threads);
-    structmine_store::obs::counter_add("exec.thread_chunks", bounds.len() as u64);
-    let f = &f;
-    std::thread::scope(|scope| {
-        let mut rest = out;
-        let mut handles = Vec::with_capacity(bounds.len());
-        for &(start, end) in &bounds {
-            let (chunk, tail) = rest.split_at_mut((end - start) * row_len);
-            rest = tail;
-            handles.push(scope.spawn(move || {
-                for (k, row) in chunk.chunks_exact_mut(row_len).enumerate() {
-                    f(start + k, row);
-                }
-            }));
-        }
-        for (w, h) in handles.into_iter().enumerate() {
-            if let Err(payload) = h.join() {
-                resume_worker_panic("par_fill_rows", w, bounds[w], payload);
-            }
-        }
-    });
-}
-
-/// Like [`par_fill_rows`], but hands each worker its whole contiguous row
-/// block in a single call as `f(start_row, block)`, for kernels that tile
-/// across rows. Chunk boundaries, ordering, and observability counters are
-/// identical to [`par_fill_rows`]; because every output element is still
-/// computed by exactly one thread with the same per-element arithmetic,
-/// results are bitwise identical for any thread count even though row
-/// grouping inside a block may differ.
+/// `c` gets the `c`-th fixed chunk of rows in one call as
+/// `f(start_row, block)`, so kernels can tile across rows and row loops
+/// need no per-row allocation. Every output element is computed by
+/// exactly one thread with the same per-element arithmetic, so results
+/// are bitwise identical for any thread count even though the rows
+/// grouped into a block differ.
 pub fn par_fill_row_blocks<F>(
     policy: &ExecPolicy,
     n_rows: usize,
@@ -419,7 +370,7 @@ mod tests {
     }
 
     #[test]
-    fn par_fill_rows_matches_serial() {
+    fn par_fill_row_blocks_matches_serial() {
         let n_rows = 23;
         let row_len = 5;
         let mut serial = vec![0.0f32; n_rows * row_len];
@@ -431,9 +382,11 @@ mod tests {
         for threads in [1, 2, 3, 8] {
             let policy = ExecPolicy::with_threads(threads);
             let mut out = vec![0.0f32; n_rows * row_len];
-            par_fill_rows(&policy, n_rows, row_len, &mut out, |i, row| {
-                for (j, v) in row.iter_mut().enumerate() {
-                    *v = (i * 31 + j) as f32 * 0.5;
+            par_fill_row_blocks(&policy, n_rows, row_len, &mut out, |start, block| {
+                for (i, row) in (start..).zip(block.chunks_exact_mut(row_len)) {
+                    for (j, v) in row.iter_mut().enumerate() {
+                        *v = (i * 31 + j) as f32 * 0.5;
+                    }
                 }
             });
             assert_eq!(out, serial, "threads={threads}");
@@ -446,7 +399,13 @@ mod tests {
         let out: Vec<u32> = par_map_chunks(&policy, &[] as &[u32], |_, &x| x);
         assert!(out.is_empty());
         let mut buf: Vec<f32> = Vec::new();
-        par_fill_rows(&policy, 0, 7, &mut buf, |_, _| unreachable!());
+        par_fill_row_blocks(
+            &policy,
+            0,
+            7,
+            &mut buf,
+            |_, block| assert!(block.is_empty()),
+        );
     }
 
     #[test]
@@ -473,8 +432,8 @@ mod tests {
 
         let caught = std::panic::catch_unwind(|| {
             let mut buf = vec![0.0f32; 64];
-            par_fill_rows(&policy, 16, 4, &mut buf, |i, _| {
-                assert!(i < 10, "row {i} rejected");
+            par_fill_row_blocks(&policy, 16, 4, &mut buf, |start, _| {
+                assert!(start < 10, "row {start} rejected");
             });
         });
         let payload = caught.expect_err("fill worker assertion must propagate");
@@ -482,7 +441,7 @@ mod tests {
             .downcast_ref::<String>()
             .cloned()
             .unwrap_or_default();
-        assert!(message.contains("par_fill_rows worker"), "{message}");
+        assert!(message.contains("par_fill_row_blocks worker"), "{message}");
         assert!(
             message.contains("row 1") || message.contains("rejected"),
             "{message}"

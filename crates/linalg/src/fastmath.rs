@@ -67,7 +67,7 @@ pub(crate) const EXP_MIN_EXP2: f32 = -60.0;
 ///
 /// Contract (property-tested below):
 /// * relative error ≤ 1e-5 for `x ∈ [-41, 87]`;
-/// * below that, saturates at ~`2^-60` ≈ 6e-19 ([`EXP_MIN_EXP2`]) —
+/// * below that, saturates at ~`2^-60` ≈ 6e-19 (`EXP_MIN_EXP2`) —
 ///   never subnormal, so no consumer pays the denormal penalty;
 /// * monotone non-decreasing over inputs spaced ≥ 1e-3 apart;
 /// * always finite, strictly positive, and a normal f32.

@@ -10,8 +10,8 @@
 //! right-hand operand as an [`Rhs`] and picks the kernel from the
 //! policy's precision and the shape. The blocked kernel packs the
 //! right-hand operand (once per call, or ahead of time as a
-//! [`PackedMatrix`]) into contiguous panels of [`NR`] output columns,
-//! then output rows are produced [`MR`] at a time by a register-tiled
+//! [`PackedMatrix`]) into contiguous panels of `NR` output columns,
+//! then output rows are produced `MR` at a time by a register-tiled
 //! micro-kernel that keeps an `MR x NR` accumulator tile live while
 //! streaming the panel, giving `MR` independent fused-multiply-add chains
 //! per column vector.
@@ -212,7 +212,7 @@ impl Rhs<'_> {
 }
 
 /// A right-hand matmul operand pre-packed, once, into the blocked
-/// kernel's [`NR`]-column panel layout (DESIGN §14).
+/// kernel's `NR`-column panel layout (DESIGN §14).
 ///
 /// `matmul`/`matmul_t` pack their right operand on **every** call; for
 /// inference weights — frozen after `Engine::load` — that pass is pure
@@ -553,30 +553,38 @@ impl Matrix {
             // Too few rows to amortize packing: i-k-j loops straight over
             // `b` rows. Same per-element summation order as the packed
             // kernel, so the two paths agree bitwise.
-            Rhs::Dense(b) => Self::fill_rows(policy, self.rows, n, &mut out.data, |i, out_row| {
-                out_row.fill(0.0);
-                for (kk, &a) in self.row(i).iter().enumerate() {
-                    if EXACT && a == 0.0 {
-                        continue;
-                    }
-                    for (o, &bv) in out_row.iter_mut().zip(b.row(kk)) {
-                        *o += a * bv;
-                    }
-                }
-            }),
-            Rhs::DenseT(b) => Self::fill_rows(policy, self.rows, n, &mut out.data, |i, out_row| {
-                let a_row = self.row(i);
-                for (j, o) in out_row.iter_mut().enumerate() {
-                    let mut acc = 0.0f32;
-                    for (&a, &bv) in a_row.iter().zip(b.row(j)) {
-                        if EXACT && a == 0.0 {
-                            continue;
+            Rhs::Dense(b) => {
+                Self::fill_row_blocks(policy, self.rows, n, &mut out.data, |start, block| {
+                    for (i, out_row) in (start..).zip(block.chunks_exact_mut(n)) {
+                        out_row.fill(0.0);
+                        for (kk, &a) in self.row(i).iter().enumerate() {
+                            if EXACT && a == 0.0 {
+                                continue;
+                            }
+                            for (o, &bv) in out_row.iter_mut().zip(b.row(kk)) {
+                                *o += a * bv;
+                            }
                         }
-                        acc += a * bv;
                     }
-                    *o = acc;
-                }
-            }),
+                })
+            }
+            Rhs::DenseT(b) => {
+                Self::fill_row_blocks(policy, self.rows, n, &mut out.data, |start, block| {
+                    for (i, out_row) in (start..).zip(block.chunks_exact_mut(n)) {
+                        let a_row = self.row(i);
+                        for (j, o) in out_row.iter_mut().enumerate() {
+                            let mut acc = 0.0f32;
+                            for (&a, &bv) in a_row.iter().zip(b.row(j)) {
+                                if EXACT && a == 0.0 {
+                                    continue;
+                                }
+                                acc += a * bv;
+                            }
+                            *o = acc;
+                        }
+                    }
+                })
+            }
         }
     }
 
@@ -611,35 +619,13 @@ impl Matrix {
         );
     }
 
-    /// Row-filling loop of the small-row fallback: serial below
-    /// [`Self::PAR_ROW_THRESHOLD`] (a shape-only decision, so small
-    /// products skip executor bookkeeping identically at every thread
-    /// count), the deterministic parallel executor above it.
-    fn fill_rows<F>(
-        policy: &crate::ExecPolicy,
-        n_rows: usize,
-        row_len: usize,
-        out: &mut [f32],
-        f: F,
-    ) where
-        F: Fn(usize, &mut [f32]) + Sync,
-    {
-        if row_len == 0 {
-            return;
-        }
-        if n_rows < Self::PAR_ROW_THRESHOLD {
-            for (i, row) in out.chunks_exact_mut(row_len).enumerate() {
-                f(i, row);
-            }
-        } else {
-            crate::exec::par_fill_rows(policy, n_rows, row_len, out, f);
-        }
-    }
-
-    /// Block variant of [`Self::fill_rows`] for the packed kernel: the
-    /// callback receives a whole contiguous row block (`f(start_row,
-    /// block)`) so it can register-tile across rows. Same serial/parallel
-    /// threshold, so the decision stays a function of shape only.
+    /// Row-filling loop of every product: the callback receives a whole
+    /// contiguous row block (`f(start_row, block)`), so the packed kernel
+    /// can register-tile across rows and the small-row fallback loops over
+    /// the block's rows itself. Serial below [`Self::PAR_ROW_THRESHOLD`] (a
+    /// shape-only decision, so small products skip executor bookkeeping
+    /// identically at every thread count), the deterministic parallel
+    /// executor above it.
     fn fill_row_blocks<F>(
         policy: &crate::ExecPolicy,
         n_rows: usize,

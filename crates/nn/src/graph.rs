@@ -1,6 +1,6 @@
 //! Reverse-mode automatic differentiation over dense `f32` matrices.
 //!
-//! A [`Graph`] is a tape of [`Node`]s. Forward methods append nodes; calling
+//! A [`Graph`] is a tape of `Node`s. Forward methods append nodes; calling
 //! [`Graph::backward`] on a scalar loss walks the tape in reverse and
 //! accumulates gradients. Operations are an enum rather than closures so the
 //! backward pass can borrow values and gradients without aliasing gymnastics.
@@ -15,7 +15,7 @@
 //! # Buffer arena
 //!
 //! Every node value, gradient, and backward intermediate is drawn from a
-//! thread-local pool of recycled buffers (see [`arena`]) and returned to it
+//! thread-local pool of recycled buffers (see the `arena` module) and returned to it
 //! when the graph is dropped or [`Graph::reset`]. Training loops that build
 //! hundreds of same-shaped nodes per step therefore stop allocating after
 //! the first step. The arena is bitwise-transparent: a recycled buffer is

@@ -1,7 +1,7 @@
 //! Parameter storage and the Adam optimizer.
 //!
 //! Models own a [`ParamStore`]; each training step binds parameters into a
-//! fresh [`Graph`](crate::graph::Graph) as leaves (recording the mapping in a
+//! fresh [`Graph`] as leaves (recording the mapping in a
 //! [`Binding`]), runs forward/backward, and calls [`Adam::step`] to apply
 //! the leaf gradients back onto the store.
 

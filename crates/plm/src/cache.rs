@@ -43,6 +43,27 @@ pub enum Tier {
 }
 
 impl Tier {
+    /// Parse a CLI/env spelling. Accepts `test` and `standard` (trimmed,
+    /// ASCII case-insensitive); anything else is an error naming the
+    /// valid spellings.
+    pub fn parse(s: &str) -> Result<Self, String> {
+        match s.trim().to_ascii_lowercase().as_str() {
+            "test" => Ok(Tier::Test),
+            "standard" => Ok(Tier::Standard),
+            other => Err(format!(
+                "unknown tier '{other}' (expected 'test' or 'standard')"
+            )),
+        }
+    }
+
+    /// The canonical spelling, as accepted by [`Tier::parse`].
+    pub fn name(self) -> &'static str {
+        match self {
+            Tier::Test => "test",
+            Tier::Standard => "standard",
+        }
+    }
+
     fn corpus_docs(self) -> usize {
         match self {
             Tier::Test => 800,

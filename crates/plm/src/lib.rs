@@ -14,7 +14,7 @@
 //!    head (PromptClass) and an NLI-style sentence-pair relevance head
 //!    pretrained self-supervisedly (TaxoClass's relevance model).
 //!
-//! Pretraining ([`pretrain`]) runs in seconds on the synthetic general
+//! Pretraining ([`pretrain`](mod@pretrain)) runs in seconds on the synthetic general
 //! corpus; [`cache`] shares one pretrained model across a process so every
 //! benchmark table does not pay for its own pretraining.
 

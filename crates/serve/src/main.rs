@@ -22,7 +22,7 @@
 //! `200 degraded: …`, or `503 unusable: …`), `GET /stats`
 //! (live JSON run report, including generation counters), `POST /classify`
 //! (one document per line in, one `label<TAB>confidence<TAB>doc` line out —
-//! byte-identical to `structmine classify`), and `POST /ingest` (append the
+//! byte-identical to `structmine classify`), and `POST /ingest` (number the
 //! documents as the corpus's next generation; a `generation<TAB>g` receipt
 //! line, then the same prediction lines `/classify` would emit).
 //!
@@ -35,6 +35,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use structmine_engine::{Engine, EngineConfig, EngineSource, MethodKind, PlmSpec};
+use structmine_plm::cache::Tier;
 use structmine_serve::{BatcherConfig, ServeConfig, Server};
 use structmine_store::obs;
 
@@ -65,7 +66,7 @@ fn usage() -> ! {
         "usage: structmine-serve --labels <a,b,c> [--method xclass|lotclass|prompt|match]\n\
          \x20                       [--tier test|standard] [--port 7878] [--max-batch 32]\n\
          \x20                       [--flush-us 2000] [--queue-cap 64] [--threads <n>]\n\
-         \x20                       [--socket-timeout-ms 10000]\n\
+         \x20                       [--precision exact|fast] [--socket-timeout-ms 10000]\n\
          \x20                       [--no-cache | --cache-dir <dir>] [--report-json <path>]"
     );
     std::process::exit(2);
@@ -179,12 +180,9 @@ fn main() {
                 "unknown or non-servable method {method_name} (expected xclass, lotclass, prompt, match)"
             ))
         });
-    let tier = match flag_or_env(&flags, "tier")
-        .unwrap_or_else(|| "test".into())
-        .as_str()
-    {
-        "standard" => structmine_plm::cache::Tier::Standard,
-        _ => structmine_plm::cache::Tier::Test,
+    let tier = match flag_or_env(&flags, "tier") {
+        Some(v) => Tier::parse(&v).unwrap_or_else(|e| fail(&e)),
+        None => Tier::Test,
     };
     let cfg = ServeConfig {
         port: parse_num(

@@ -285,8 +285,8 @@ fn classify_route(stream: &mut TcpStream, queue: &BatchQueue, request: &Request)
     }
 }
 
-/// `POST /ingest`: body is one document per line; the batch is appended to
-/// the engine's corpus as its next generation and classified. The response
+/// `POST /ingest`: body is one document per line; the batch is classified
+/// and stamped as the engine's next corpus generation. The response
 /// is a `generation<TAB>g` receipt line followed by one prediction line per
 /// document — `tail -n +2` of the body byte-matches `POST /classify` (and
 /// the CLI) on the same documents, because the serving rule is frozen at

@@ -110,8 +110,8 @@ pub enum Counter {
 }
 
 impl Counter {
-    /// The registry key suffix, matching the [`StatsSnapshot`]
-    /// (crate::StatsSnapshot) field names so report counters and the
+    /// The registry key suffix, matching the [`StatsSnapshot`](crate::StatsSnapshot)
+    /// field names so report counters and the
     /// `[artifact-store]` summary line agree verbatim.
     pub fn key(self) -> &'static str {
         match self {

@@ -8,17 +8,17 @@
 //! later read. The store's defenses, in order:
 //!
 //! 1. **Checksum footer** — every artifact file ends with a
-//!    [`StableHasher`](crate::StableHasher) digest of its body. Reads
+//!    [`StableHasher`] digest of its body. Reads
 //!    verify it *before* deserializing, so corruption is detected as a
 //!    checksum mismatch, never as a serde error on garbage.
 //! 2. **Bounded deterministic retry** — transient failures (IO errors,
-//!    injected faults) are retried up to [`MAX_IO_ATTEMPTS`] times with a
+//!    injected faults) are retried up to `MAX_IO_ATTEMPTS` times with a
 //!    fixed exponential backoff (1, 2, 4 ms). Corruption is not retried:
 //!    re-reading the same bytes cannot fix it.
 //! 3. **Recompute, never propagate** — a failed read is a cache miss; a
 //!    failed write just leaves the slot empty. Callers always get the
 //!    correct value.
-//! 4. **Degradation ladder** — after [`DEGRADE_AFTER`] *persistent*
+//! 4. **Degradation ladder** — after `DEGRADE_AFTER` *persistent*
 //!    (post-retry) disk failures the store demotes itself to memory-only
 //!    with a single `[artifact-store]` warning; the pipeline continues
 //!    correct but uncached, instead of hammering a dead disk.

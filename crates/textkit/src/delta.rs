@@ -1,54 +1,33 @@
-//! Append-only corpus generations (DESIGN §11).
+//! Generation stamps for append-only corpus deltas (DESIGN §11).
 //!
-//! A [`DeltaCorpus`] is a base corpus plus an ordered sequence of applied
-//! deltas, each stamped with a [`Generation`] number. Generation 0 is the
-//! base; applying delta g moves the corpus from generation g-1 to g. All
-//! corpus-level statistics (vocabulary counts, document frequencies, and the
-//! TF-IDF model derived from them) are maintained incrementally from the
-//! delta alone.
-//!
-//! ## Merge rule
-//!
-//! The incremental update is *byte-identical* to a from-scratch build of the
-//! concatenated corpus because every maintained statistic is a fold over
-//! documents in stream order of operations that the from-scratch build
-//! performs in the same order:
-//!
-//! * **Vocabulary words** are interned in first-occurrence order. A word
-//!   first seen in delta g gets the id the from-scratch build would assign
-//!   it when it reaches that document.
-//! * **Vocabulary counts** are `u64` additions per token occurrence;
-//!   integer addition is associative, so folding delta-by-delta equals
-//!   folding the concatenation.
-//! * **Document frequencies** are `u32` additions of each document's
-//!   *distinct* token set; distinctness is per-document, so each document
-//!   contributes identically regardless of which delta carried it.
-//! * **IDF** is a pure `f32` function of `(n_docs, df)` — see
-//!   [`TfIdf::from_counts`] — so identical integers give identical bits.
+//! A [`DeltaCorpus`] numbers the batches of documents appended after a base
+//! corpus. Generation 0 is the base; applying delta g moves it from
+//! generation g-1 to g. It keeps only the base vocabulary's size and the
+//! current generation: the caller scores a delta's documents and drops
+//! them, so a stream of any length costs O(1) state.
 //!
 //! ## Invalidation semantics
 //!
 //! Deltas fail closed: [`DeltaCorpus::apply`] rejects a delta whose
 //! generation is not exactly `current + 1` (duplicates and gaps are both
-//! errors) and rejects token ids outside the current vocabulary *before*
-//! mutating any state.
+//! errors) and rejects token ids outside the base vocabulary, both *before*
+//! the generation moves.
 
 use crate::corpus::{Corpus, Doc};
-use crate::tfidf::TfIdf;
-use crate::tokenize;
 use crate::vocab::TokenId;
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 
 /// A corpus generation number. Generation 0 is the base corpus; each applied
 /// delta increments it by one.
 pub type Generation = u32;
 
-/// Why a delta was rejected. All variants leave the corpus unchanged.
+/// Why a delta was rejected. All variants leave the generation unchanged.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum DeltaError {
     /// The delta's generation is at or behind the current one — it was
-    /// already applied (or forged). Re-applying is never safe: counts would
-    /// double.
+    /// already applied (or forged). Re-applying is never safe: its
+    /// documents would be counted twice.
     Duplicate {
         /// Generation carried by the rejected delta.
         generation: Generation,
@@ -56,20 +35,19 @@ pub enum DeltaError {
         current: Generation,
     },
     /// The delta skips ahead, which would silently drop the missing
-    /// generations' documents from every statistic.
+    /// generations' documents from the stream.
     OutOfOrder {
         /// The only generation that can be applied next.
         expected: Generation,
         /// Generation carried by the rejected delta.
         got: Generation,
     },
-    /// A document references a token id outside the current vocabulary.
-    /// Token-level deltas are closed-vocabulary; use
-    /// [`DeltaCorpus::apply_text`] to grow the vocabulary from raw text.
+    /// A document references a token id outside the base vocabulary.
+    /// Deltas are closed-vocabulary.
     UnknownToken {
         /// The out-of-range token id.
         token: TokenId,
-        /// Current vocabulary size (valid ids are `0..vocab_len`).
+        /// Base vocabulary size (valid ids are `0..vocab_len`).
         vocab_len: usize,
     },
 }
@@ -108,24 +86,20 @@ pub struct CorpusDelta {
     pub docs: Vec<Doc>,
 }
 
-/// A corpus that grows by append-only generational deltas, with vocabulary
-/// counts, document frequencies, and TF-IDF maintained incrementally.
-#[derive(Clone, Debug)]
+/// The stamp check of a corpus that grows by append-only deltas: the base
+/// vocabulary's size and the current generation, nothing per document.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DeltaCorpus {
-    corpus: Corpus,
+    vocab_len: usize,
     generation: Generation,
-    /// Maintained document frequencies, always `vocab.len()` long.
-    df: Vec<u32>,
 }
 
 impl DeltaCorpus {
-    /// Wrap `base` as generation 0.
-    pub fn from_corpus(base: Corpus) -> Self {
-        let df = base.doc_frequencies();
+    /// Stamp `base` as generation 0. Only its vocabulary size is kept.
+    pub fn from_corpus(base: impl Borrow<Corpus>) -> Self {
         DeltaCorpus {
-            corpus: base,
+            vocab_len: base.borrow().vocab.len(),
             generation: 0,
-            df,
         }
     }
 
@@ -134,40 +108,23 @@ impl DeltaCorpus {
         self.generation
     }
 
-    /// The merged corpus: base documents followed by every applied delta's
-    /// documents in generation order.
-    pub fn corpus(&self) -> &Corpus {
-        &self.corpus
-    }
-
-    /// Total number of documents across all applied generations.
-    pub fn len(&self) -> usize {
-        self.corpus.len()
-    }
-
-    /// True when the merged corpus has no documents.
-    pub fn is_empty(&self) -> bool {
-        self.corpus.is_empty()
-    }
-
     /// Stamp `docs` as the next applicable delta.
     pub fn next_delta(&self, docs: Vec<Doc>) -> CorpusDelta {
         CorpusDelta {
-            generation: self.generation() + 1,
+            generation: self.generation + 1,
             docs,
         }
     }
 
-    /// Apply a closed-vocabulary delta, advancing to its generation.
+    /// Check a delta's stamp and tokens, then advance to its generation.
     ///
-    /// Fails closed — on any error the corpus, counts, and document
-    /// frequencies are untouched.
+    /// Fails closed — on any error the generation is untouched.
     pub fn apply(&mut self, delta: CorpusDelta) -> Result<Generation, DeltaError> {
-        let expected = self.generation() + 1;
+        let expected = self.generation + 1;
         if delta.generation < expected {
             return Err(DeltaError::Duplicate {
                 generation: delta.generation,
-                current: self.generation(),
+                current: self.generation,
             });
         }
         if delta.generation > expected {
@@ -176,70 +133,17 @@ impl DeltaCorpus {
                 got: delta.generation,
             });
         }
-        let vocab_len = self.corpus.vocab.len();
-        for doc in &delta.docs {
-            if let Some(&t) = doc.tokens.iter().find(|&&t| t as usize >= vocab_len) {
-                return Err(DeltaError::UnknownToken {
-                    token: t,
-                    vocab_len,
-                });
-            }
-        }
-        self.apply_validated(delta.docs);
-        Ok(self.generation())
-    }
-
-    /// Tokenize raw `lines` (one document per line), interning unseen words
-    /// into the vocabulary, and apply them as the next generation.
-    ///
-    /// This is the open-vocabulary ingestion path: words are interned in
-    /// first-occurrence order, exactly as a from-scratch tokenization of the
-    /// concatenated text would assign ids.
-    pub fn apply_text(&mut self, lines: &[String]) -> Generation {
-        let docs: Vec<Doc> = lines
+        let vocab_len = self.vocab_len;
+        if let Some(&token) = delta
+            .docs
             .iter()
-            .map(|l| Doc::from_tokens(tokenize::encode_interning(l, &mut self.corpus.vocab)))
-            .collect();
-        // Interning grew the word table; grow `df` to match before folding
-        // the new docs in (counts are bumped in `apply_validated`).
-        self.df.resize(self.corpus.vocab.len(), 0);
-        self.apply_validated(docs);
-        self.generation()
-    }
-
-    /// Fold validated docs into the corpus and its maintained statistics.
-    fn apply_validated(&mut self, docs: Vec<Doc>) {
-        for doc in docs {
-            for &t in &doc.tokens {
-                self.corpus.vocab.bump(t);
-            }
-            // Each document contributes its *distinct* token set to df.
-            let mut distinct: Vec<TokenId> = doc.tokens.clone();
-            distinct.sort_unstable();
-            distinct.dedup();
-            for t in distinct {
-                self.df[t as usize] += 1;
-            }
-            self.corpus.docs.push(doc);
+            .flat_map(|doc| &doc.tokens)
+            .find(|&&t| t as usize >= vocab_len)
+        {
+            return Err(DeltaError::UnknownToken { token, vocab_len });
         }
-        self.generation += 1;
-    }
-
-    /// Maintained document frequencies (same contract as
-    /// [`Corpus::doc_frequencies`], without the full-corpus scan).
-    pub fn doc_frequencies(&self) -> &[u32] {
-        &self.df
-    }
-
-    /// TF-IDF model over the merged corpus, from the maintained counts.
-    pub fn tfidf(&self) -> TfIdf {
-        TfIdf::from_counts(self.corpus.len(), &self.df)
-    }
-
-    /// Fingerprint of the maintained statistics (vocabulary + df + doc
-    /// count) — used by equivalence tests to compare against a cold build.
-    pub fn stats_fingerprint(&self) -> u128 {
-        structmine_store::fingerprint_of(&(&self.corpus.vocab, &self.df, self.corpus.len() as u64))
+        self.generation = expected;
+        Ok(expected)
     }
 }
 
@@ -248,70 +152,30 @@ mod tests {
     use super::*;
     use crate::vocab::Vocab;
 
-    /// A from-scratch build: tokenize every line against a fresh vocabulary,
-    /// interning + bumping counts per occurrence — the reference the merge
-    /// rule must reproduce byte-for-byte.
-    fn cold_build(lines: &[&str]) -> Corpus {
-        let mut c = Corpus::new(Vocab::new());
-        for l in lines {
-            let toks = tokenize::encode_interning(l, &mut c.vocab);
-            for &t in &toks {
-                c.vocab.bump(t);
-            }
-            c.docs.push(Doc::from_tokens(toks));
+    /// A base corpus whose vocabulary holds the special tokens plus `words`.
+    fn base(words: &[&str]) -> Corpus {
+        let mut vocab = Vocab::new();
+        for w in words {
+            vocab.intern(w);
         }
-        c
-    }
-
-    const BASE: &[&str] = &["the match ended in a draw", "court rules on appeal"];
-    const STREAM: &[&str] = &[
-        "startup raises funding round",
-        "midfielder scores twice in derby",
-        "judge delays the ruling",
-        "quarterly earnings beat forecast",
-        "novel vaccine enters trial phase",
-    ];
-
-    #[test]
-    fn incremental_stats_match_cold_concatenated_build() {
-        // Apply the stream as 1, 2, and 5 deltas; all must equal the cold
-        // build of base ++ stream, bit for bit.
-        for k in [1usize, 2, 5] {
-            let mut dc = DeltaCorpus::from_corpus(cold_build(BASE));
-            for chunk in STREAM.chunks(STREAM.len().div_ceil(k)) {
-                let lines: Vec<String> = chunk.iter().map(|s| s.to_string()).collect();
-                dc.apply_text(&lines);
-            }
-            let all: Vec<&str> = BASE.iter().chain(STREAM.iter()).copied().collect();
-            let cold = cold_build(&all);
-            assert_eq!(dc.corpus().fingerprint(), cold.fingerprint(), "k={k}");
-            assert_eq!(dc.doc_frequencies(), &cold.doc_frequencies()[..], "k={k}");
-            let warm_idf = dc.tfidf();
-            let cold_idf = TfIdf::fit(&cold);
-            for t in 0..dc.corpus().vocab.len() as TokenId {
-                assert_eq!(
-                    warm_idf.idf(t).to_bits(),
-                    cold_idf.idf(t).to_bits(),
-                    "idf bits differ at token {t} (k={k})"
-                );
-            }
-        }
+        Corpus::new(vocab)
     }
 
     #[test]
     fn each_applied_delta_advances_one_generation() {
-        let mut dc = DeltaCorpus::from_corpus(cold_build(BASE));
+        let mut dc = DeltaCorpus::from_corpus(base(&["match", "court"]));
         assert_eq!(dc.generation(), 0);
-        dc.apply_text(&["one new doc".to_string()]);
-        dc.apply_text(&["two".to_string(), "more docs".to_string()]);
-        assert_eq!(dc.generation(), 2);
-        assert_eq!(dc.len(), 5);
+        for g in 1..=3 {
+            let delta = dc.next_delta(vec![Doc::from_tokens(vec![5]); g as usize]);
+            assert_eq!(dc.apply(delta), Ok(g));
+        }
+        assert_eq!(dc.generation(), 3);
     }
 
     #[test]
     fn duplicate_and_out_of_order_deltas_fail_closed() {
-        let mut dc = DeltaCorpus::from_corpus(cold_build(BASE));
-        let fingerprint = dc.corpus().fingerprint();
+        let mut dc = DeltaCorpus::from_corpus(base(&["match", "court"]));
+        let before = dc.clone();
         let doc = Doc::from_tokens(vec![5]);
 
         let dup = CorpusDelta {
@@ -336,20 +200,20 @@ mod tests {
                 got: 2
             })
         );
-        // Rejection left every statistic untouched.
-        assert_eq!(dc.corpus().fingerprint(), fingerprint);
-        assert_eq!(dc.generation(), 0);
+        // Rejection left the stamp untouched.
+        assert_eq!(dc, before);
     }
 
     #[test]
     fn unknown_token_fails_closed_before_mutation() {
-        let mut dc = DeltaCorpus::from_corpus(cold_build(BASE));
-        let vocab_len = dc.corpus().vocab.len();
+        let corpus = base(&["match", "court"]);
+        let vocab_len = corpus.vocab.len();
+        let mut dc = DeltaCorpus::from_corpus(&corpus);
+        let before = dc.clone();
         let bad = dc.next_delta(vec![
             Doc::from_tokens(vec![5]),
             Doc::from_tokens(vec![vocab_len as TokenId]),
         ]);
-        let fingerprint = dc.corpus().fingerprint();
         assert_eq!(
             dc.apply(bad),
             Err(DeltaError::UnknownToken {
@@ -357,26 +221,6 @@ mod tests {
                 vocab_len,
             })
         );
-        // The first (valid) doc was not partially applied.
-        assert_eq!(dc.corpus().fingerprint(), fingerprint);
-        assert_eq!(dc.len(), BASE.len());
-    }
-
-    #[test]
-    fn closed_vocab_apply_matches_apply_text_for_known_words() {
-        // When every word is already in the vocabulary, the closed-vocab
-        // token path and the text path produce identical state.
-        let mut by_tokens = DeltaCorpus::from_corpus(cold_build(BASE));
-        let mut by_text = DeltaCorpus::from_corpus(cold_build(BASE));
-        let line = "the court match".to_string();
-        let toks = tokenize::encode(&line, &by_tokens.corpus().vocab);
-        let delta = by_tokens.next_delta(vec![Doc::from_tokens(toks)]);
-        by_tokens.apply(delta).unwrap();
-        by_text.apply_text(std::slice::from_ref(&line));
-        assert_eq!(by_tokens.stats_fingerprint(), by_text.stats_fingerprint());
-        assert_eq!(
-            by_tokens.corpus().fingerprint(),
-            by_text.corpus().fingerprint()
-        );
+        assert_eq!(dc, before);
     }
 }

@@ -7,9 +7,9 @@
 //!   (`[PAD]`, `[UNK]`, `[MASK]`, `[CLS]`, `[SEP]`).
 //! * [`corpus::Doc`] / [`corpus::Corpus`] — tokenized documents with optional
 //!   labels and metadata (users, tags, venues, authors, references).
-//! * [`delta::DeltaCorpus`] — append-only corpus generations whose
-//!   vocabulary/df/TF-IDF stats update incrementally yet stay byte-identical
-//!   to a from-scratch build (DESIGN §11).
+//! * [`delta::DeltaCorpus`] — the generation stamp check that numbers each
+//!   batch `ingest` appends, failing closed on duplicate, skipped or
+//!   out-of-vocabulary deltas; it keeps no documents (DESIGN §11).
 //! * [`tfidf::TfIdf`] — sparse TF-IDF vectors and cosine retrieval.
 //! * [`taxonomy::Taxonomy`] — label hierarchies, both trees (WeSHClass) and
 //!   DAGs (TaxoClass).

@@ -20,16 +20,9 @@ pub struct TfIdf {
 impl TfIdf {
     /// Fit IDF weights on `corpus`. Uses smoothed `ln((1+N)/(1+df)) + 1`.
     pub fn fit(corpus: &Corpus) -> Self {
-        TfIdf::from_counts(corpus.len(), &corpus.doc_frequencies())
-    }
-
-    /// Build the model directly from a document count and per-token document
-    /// frequencies. `fit` delegates here, and so does the incremental
-    /// [`crate::delta::DeltaCorpus::tfidf`] path — IDF is a pure function of
-    /// these integers, which is what makes incrementally-maintained counts
-    /// yield bit-identical weights (DESIGN §11).
-    pub fn from_counts(n_docs: usize, df: &[u32]) -> Self {
-        let idf = df
+        let n_docs = corpus.len();
+        let idf = corpus
+            .doc_frequencies()
             .iter()
             .map(|&df| ((1.0 + n_docs as f32) / (1.0 + df as f32)).ln() + 1.0)
             .collect();

@@ -143,6 +143,22 @@ impl Parser<'_> {
         }
     }
 
+    /// Consume one byte if it is any of `set`.
+    fn eat(&mut self, set: &[u8]) -> bool {
+        let hit = self.bytes.get(self.pos).is_some_and(|b| set.contains(b));
+        self.pos += usize::from(hit);
+        hit
+    }
+
+    /// Consume a run of ASCII digits; returns how many.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while self.bytes.get(self.pos).is_some_and(u8::is_ascii_digit) {
+            self.pos += 1;
+        }
+        self.pos - start
+    }
+
     fn parse_value(&mut self) -> Result<Value, Error> {
         match self.peek()? {
             b'{' => self.nested(Self::parse_object),
@@ -282,22 +298,27 @@ impl Parser<'_> {
         }
     }
 
+    /// Scan one number of the JSON grammar
+    /// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`; any other spelling
+    /// (`+5`, `01`, `1.`, `.5`, `1e`) is an error, not a `str::parse` guess.
     fn parse_number(&mut self) -> Result<Value, Error> {
         self.skip_ws();
         let start = self.pos;
-        while self.pos < self.bytes.len()
-            && matches!(
-                self.bytes[self.pos],
-                b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'
-            )
-        {
-            self.pos += 1;
+        self.eat(b"-");
+        let int_start = self.pos;
+        let int_digits = self.digits();
+        let leading_zero = int_digits > 1 && self.bytes[int_start] == b'0';
+        let fraction_ok = !self.eat(b".") || self.digits() > 0;
+        let exponent_ok = !self.eat(b"eE") || {
+            self.eat(b"+-");
+            self.digits() > 0
+        };
+        if int_digits == 0 || leading_zero || !fraction_ok || !exponent_ok {
+            return Err(Error::msg(format!("invalid number at byte {start}")));
         }
+        // The grammar admits only ASCII, so this slice is valid UTF-8.
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| Error::msg("invalid number"))?;
-        if text.is_empty() {
-            return Err(Error::msg(format!("expected value at byte {start}")));
-        }
         if text.contains(['.', 'e', 'E']) {
             text.parse::<f64>()
                 .map(Value::Float)
@@ -461,5 +482,27 @@ mod tests {
         assert!(from_str::<u32>("not json").is_err());
         assert!(from_str::<u32>("1 2").is_err());
         assert!(from_str::<Vec<u32>>("[1,").is_err());
+    }
+
+    /// Only the JSON number grammar parses: spellings `str::parse` would
+    /// accept (a plus sign, leading zeros, a bare `.`) are errors, alone
+    /// and inside an array.
+    #[test]
+    fn non_json_numbers_are_rejected() {
+        for bad in [
+            "+5", "-+5", "01", "-01", "1.", ".5", "1.e3", "1e", "--5", "-", "1e+",
+        ] {
+            let err = from_str::<serde::Value>(bad).expect_err(bad);
+            assert!(err.to_string().contains("number"), "{bad}: {err}");
+            assert!(
+                from_str::<serde::Value>(&format!("[{bad}]")).is_err(),
+                "[{bad}]"
+            );
+        }
+        for good in ["0", "-0", "-0.0", "10", "1e-7", "1E+2", "2.5e10", "-12.75"] {
+            assert!(from_str::<serde::Value>(good).is_ok(), "{good}");
+        }
+        assert_eq!(from_str::<i64>("-12").unwrap(), -12);
+        assert_eq!(from_str::<f64>("1e-7").unwrap(), 1e-7);
     }
 }
