@@ -3,22 +3,19 @@
 //!
 //! ```text
 //! report_check <report.json> [--min-coverage 0.9] [--expect-stages a,b,c]
-//!              [--expect-env KEY=VALUE] [--expect-counter-positive NAME]
-//!              [--expect-counter-zero NAME]
+//!              [--expect-counter-positive NAME] [--expect-counter-zero NAME]
 //! ```
 //!
 //! Checks, in order: the report parses and matches the schema
 //! (`schema_version`, config fingerprint shape, counters, span tree); the
 //! per-stage timings attribute at least `--min-coverage` of the process
 //! wall time (default 0.9); every `--expect-stages` label appears in the
-//! span tree; every `--expect-env KEY=VALUE` pair appears in
-//! `config.env` (the fingerprint's input set — CI asserts the precision
-//! tier landed there); every `--expect-counter-positive NAME` counter was
-//! recorded with a value > 0, and every `--expect-counter-zero NAME`
-//! counter is absent or zero (CI asserts a warm serve run shows prepack
-//! hits and no invalidations). Exits 2 on usage errors, 1 on a failed
-//! check, 0 when the report is healthy — CI runs this against a Test-tier
-//! `table_xclass` report.
+//! span tree; every `--expect-counter-positive NAME` counter was recorded
+//! with a value > 0, and every `--expect-counter-zero NAME` counter is
+//! absent or zero (CI asserts a warm serve run shows prepack hits and no
+//! invalidations). Exits 2 on usage errors, 1 on a failed
+//! check, 0 when the report is healthy — CI runs this against the
+//! `/stats` reports of its serve and streaming smokes.
 
 use structmine_store::obs;
 
@@ -32,7 +29,6 @@ fn main() {
     let mut path = None;
     let mut min_coverage = 0.9f64;
     let mut expect_stages: Vec<String> = Vec::new();
-    let mut expect_env: Vec<(String, String)> = Vec::new();
     let mut expect_counter_positive: Vec<String> = Vec::new();
     let mut expect_counter_zero: Vec<String> = Vec::new();
     let mut i = 0;
@@ -55,14 +51,6 @@ fn main() {
                     .map(|s| s.trim().to_string())
                     .filter(|s| !s.is_empty())
                     .collect();
-                i += 2;
-            }
-            "--expect-env" => {
-                let v = argv
-                    .get(i + 1)
-                    .and_then(|s| s.split_once('='))
-                    .unwrap_or_else(|| fail("--expect-env needs KEY=VALUE", 2));
-                expect_env.push((v.0.to_string(), v.1.to_string()));
                 i += 2;
             }
             "--expect-counter-positive" => {
@@ -89,8 +77,7 @@ fn main() {
     let path = path.unwrap_or_else(|| {
         fail(
             "usage: report_check <report.json> [--min-coverage 0.9] [--expect-stages a,b,c] \
-             [--expect-env KEY=VALUE] [--expect-counter-positive NAME] \
-             [--expect-counter-zero NAME]",
+             [--expect-counter-positive NAME] [--expect-counter-zero NAME]",
             2,
         )
     });
@@ -124,18 +111,6 @@ fn main() {
             &format!("expected stages missing from the report: {missing:?} (present: {labels:?})"),
             1,
         );
-    }
-
-    for (key, want) in &expect_env {
-        let got = obs::report_config_env(&report, key)
-            .unwrap_or_else(|e| fail(&format!("config env unavailable: {e}"), 1));
-        match got {
-            Some(v) if &v == want => {}
-            other => fail(
-                &format!("config.env expected {key}={want}, found {other:?}"),
-                1,
-            ),
-        }
     }
 
     for name in &expect_counter_positive {

@@ -9,8 +9,9 @@
 //! [`structmine_engine::tolerance::self_check`] (Exact twin vs Fast over
 //! the full eval corpus), prints the report, and exits 0 when the Fast
 //! tier stays within bounds (label agreement ≥ 99.5%, max |confidence
-//! delta| ≤ 0.05), 1 when it drifts out, 2 on usage errors. CI runs this
-//! as the tolerance smoke next to the Exact-tier golden `cmp`.
+//! delta| ≤ 0.05), 1 when it drifts out, 2 on usage errors. The
+//! determinism matrix (`crates/bench/tests/determinism_matrix.rs`) runs it
+//! before its cells.
 
 use structmine_engine::{tolerance, Engine, EngineConfig, EngineSource, MethodKind, PlmSpec};
 use structmine_linalg::{ExecPolicy, Precision};

@@ -37,7 +37,7 @@ fn engine_error(e: structmine_engine::EngineError) -> PipelineError {
 }
 
 /// The (dataset, seed) cells the encode phase pre-warms: exactly the E4
-/// X-Class cells — the table family the CI shard smoke compares
+/// X-Class cells — the table family the determinism matrix compares
 /// byte-for-byte across shard counts.
 fn cells(cfg: &BenchConfig) -> Vec<(&'static str, u64)> {
     let mut v = Vec::new();

@@ -177,29 +177,56 @@ pub struct CacheArgs {
 #[derive(Debug, PartialEq)]
 pub struct ParseError(pub String);
 
-/// Parse `argv` (without the program name).
-/// Every flag any subcommand accepts; anything else is a usage error
-/// instead of being silently ignored.
-const KNOWN_FLAGS: &[&str] = &[
-    "labels",
-    "recipe",
-    "method",
-    "input",
-    "tier",
-    "threads",
-    "precision",
-    "no-cache",
-    "cache-dir",
-    "faults",
-    "scale",
-    "seed",
-    "shards",
-    "report-json",
-];
+/// The flags a subcommand accepts: exactly those its [`USAGE`] entry lists.
+/// Any other flag is a usage error, so no subcommand silently ignores a
+/// flag that only another one honours.
+fn accepted_flags(cmd: &str) -> Result<&'static [&'static str], ParseError> {
+    Ok(match cmd {
+        "classify" | "ingest" => &[
+            "labels",
+            "method",
+            "input",
+            "tier",
+            "threads",
+            "precision",
+            "no-cache",
+            "cache-dir",
+            "faults",
+            "report-json",
+        ],
+        "shard" => &[
+            "labels",
+            "shards",
+            "method",
+            "input",
+            "tier",
+            "threads",
+            "precision",
+            "cache-dir",
+            "faults",
+            "report-json",
+        ],
+        "demo" => &[
+            "recipe",
+            "method",
+            "scale",
+            "seed",
+            "threads",
+            "no-cache",
+            "cache-dir",
+            "faults",
+            "report-json",
+        ],
+        "datasets" | "help" | "--help" | "-h" => &[],
+        other => return Err(ParseError(format!("unknown command {other}"))),
+    })
+}
 
+/// Parse `argv` (without the program name).
 pub fn parse(argv: &[String]) -> Result<Args, ParseError> {
     let mut it = argv.iter();
     let cmd = it.next().map(|s| s.as_str()).unwrap_or("help");
+    let accepted = accepted_flags(cmd)?;
     let mut flags = std::collections::HashMap::new();
     let rest: Vec<&String> = it.collect();
     let mut i = 0;
@@ -207,8 +234,8 @@ pub fn parse(argv: &[String]) -> Result<Args, ParseError> {
         let key = rest[i]
             .strip_prefix("--")
             .ok_or_else(|| ParseError(format!("expected a --flag, got {}", rest[i])))?;
-        if !KNOWN_FLAGS.contains(&key) {
-            return Err(ParseError(format!("unknown flag --{key}")));
+        if !accepted.contains(&key) {
+            return Err(ParseError(format!("unknown flag --{key} for {cmd}")));
         }
         // Boolean flags take no value.
         if key == "no-cache" {
@@ -334,8 +361,8 @@ pub fn parse(argv: &[String]) -> Result<Args, ParseError> {
             cache,
         }),
         "datasets" => Ok(Args::Datasets),
-        "help" | "--help" | "-h" => Ok(Args::Help),
-        other => Err(ParseError(format!("unknown command {other}"))),
+        // `help`, `--help` or `-h`: `accepted_flags` rejected every other name.
+        _ => Ok(Args::Help),
     }
 }
 
@@ -566,6 +593,33 @@ mod tests {
         // usage error like any other parse failure.
         let e = parse(&sv(&["demo", "--recipe", "agnews", "--frobnicate", "1"]));
         assert!(matches!(e, Err(ParseError(ref m)) if m.contains("frobnicate")));
+    }
+
+    #[test]
+    fn each_subcommand_accepts_only_its_usage_flags() {
+        // (subcommand with its required flags, a flag its USAGE entry
+        // lists, a flag it does not list)
+        let cases = [
+            ("classify --labels a,b", "--precision fast", "--shards 3"),
+            ("ingest --labels a,b", "--input docs.txt", "--seed 3"),
+            ("shard --labels a,b", "--shards 3", "--no-cache"),
+            ("demo --recipe agnews", "--scale 0.05", "--tier standard"),
+            ("datasets", "", "--shards 3"),
+            ("help", "", "--labels a,b"),
+        ];
+        for (base, listed, unlisted) in cases {
+            let argv = |extra: &str| {
+                let line = format!("{base} {extra}");
+                sv(&line.split_whitespace().collect::<Vec<_>>())
+            };
+            assert!(parse(&argv(listed)).is_ok(), "{base} {listed}");
+            let flag = unlisted.split_whitespace().next().unwrap();
+            let e = parse(&argv(unlisted));
+            assert!(
+                matches!(e, Err(ParseError(ref m)) if m.contains(flag)),
+                "{base} {unlisted}: {e:?}"
+            );
+        }
     }
 
     #[test]

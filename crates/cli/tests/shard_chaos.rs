@@ -39,9 +39,14 @@ fn scratch(tag: &str) -> Scratch {
 }
 
 /// The test-tier PLM pretraining cache, shared across runs in this test
-/// binary: pretraining is deterministic, so sharing it only saves time.
+/// binary, and with the rest of the job when `STRUCTMINE_PLM_CACHE_DIR` is
+/// set: pretraining is deterministic, so sharing it only saves time.
 fn shared_plm_dir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("structmine-chaos-plm-{}", std::process::id()));
+    let dir = std::env::var_os("STRUCTMINE_PLM_CACHE_DIR")
+        .map(PathBuf::from)
+        .unwrap_or_else(|| {
+            std::env::temp_dir().join(format!("structmine-chaos-plm-{}", std::process::id()))
+        });
     let _ = std::fs::create_dir_all(&dir);
     dir
 }

@@ -126,19 +126,6 @@ impl MetaCat {
         ))
     }
 
-    /// Run with a restricted signal set, bypassing the artifact store.
-    pub fn run_with_signals_uncached(
-        &self,
-        dataset: &Dataset,
-        sup: &Supervision,
-        signals: SignalSet,
-    ) -> Result<MetaCatOutput, MethodError> {
-        let labeled = sup
-            .labeled_docs()
-            .ok_or(MethodError::NeedsLabeledDocs { method: "MetaCat" })?;
-        Ok(self.run_validated(dataset, labeled, signals))
-    }
-
     /// The algorithm proper, over pre-validated labeled documents.
     fn run_validated(
         &self,

@@ -576,11 +576,6 @@ impl XClassModel {
         let x = Matrix::from_rows(&[rep_ref]);
         self.clf.predict_proba(&x).row(0).to_vec()
     }
-
-    /// Attention weight of every token in one encoded document.
-    pub fn attention(&self, tokens: &Matrix) -> Vec<f32> {
-        attention_weights(tokens, &self.class_reps, self.attention_temp)
-    }
 }
 
 fn static_mean(plm: &MiniPlm, tokens: &[TokenId]) -> Vec<f32> {

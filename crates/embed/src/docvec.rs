@@ -7,7 +7,6 @@
 //! negative sampling.
 
 use crate::sgns::{NegativeTable, WordVectors};
-use rand::Rng;
 use structmine_linalg::{rng as lrng, vector, Matrix};
 use structmine_text::tfidf::TfIdf;
 use structmine_text::vocab::Vocab;
@@ -110,44 +109,6 @@ impl Pvdbow {
             }
         }
         docs
-    }
-
-    /// Infer a vector for an unseen token sequence against trained word
-    /// outputs: gradient steps on a fresh doc vector with words frozen.
-    /// (Used when ranking label descriptions against document vectors.)
-    pub fn infer(
-        &self,
-        tokens: &[structmine_text::vocab::TokenId],
-        words: &Matrix,
-        seed: u64,
-    ) -> Vec<f32> {
-        let mut rng = lrng::seeded(seed);
-        let mut dv = vec![0.0f32; self.dim];
-        lrng::fill_gaussian(&mut rng, &mut dv, 0.1);
-        for _ in 0..self.epochs * 3 {
-            for &t in tokens {
-                if Vocab::is_special(t) {
-                    continue;
-                }
-                let wrow = words.row(t as usize);
-                let s = sigmoid(vector::dot(&dv, wrow));
-                let g = self.lr * (1.0 - s);
-                let mut delta = vec![0.0f32; self.dim];
-                vector::axpy(&mut delta, g, wrow);
-                // A couple of random negatives keep the vector bounded.
-                for _ in 0..self.negatives {
-                    let n = rng.gen_range(0..words.rows());
-                    if n == t as usize {
-                        continue;
-                    }
-                    let nrow = words.row(n);
-                    let sn = sigmoid(vector::dot(&dv, nrow));
-                    vector::axpy(&mut delta, -self.lr * sn, nrow);
-                }
-                vector::axpy(&mut dv, 1.0, &delta);
-            }
-        }
-        dv
     }
 }
 

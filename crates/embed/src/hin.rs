@@ -58,11 +58,6 @@ impl HinGraph {
         self.n_nodes
     }
 
-    /// Edge count of a type.
-    pub fn n_edges(&self, etype: usize) -> usize {
-        self.edges[etype].len()
-    }
-
     /// Partition id of a node.
     pub fn partition_of(&self, node: usize) -> usize {
         self.node_partition[node]

@@ -48,11 +48,6 @@ pub struct WordVectors {
 }
 
 impl WordVectors {
-    /// Wrap a `vocab x d` matrix as word vectors.
-    pub fn from_matrix(vectors: Matrix) -> Self {
-        WordVectors { vectors }
-    }
-
     /// Embedding dimensionality.
     pub fn dim(&self) -> usize {
         self.vectors.cols()

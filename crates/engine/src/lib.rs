@@ -6,8 +6,8 @@
 //! artifact store every binary already uses. The engine then exposes two
 //! kinds of work:
 //!
-//! * **Serving** — [`Engine::classify`] and [`Engine::explain`] apply a
-//!   *frozen per-document rule* (fitted lazily, once) to new documents.
+//! * **Serving** — [`Engine::classify`] applies a *frozen per-document
+//!   rule* (fitted lazily, once) to new documents.
 //!   Because every rule is per-document and the underlying kernels are
 //!   row-independent bitwise, a document's prediction is byte-identical
 //!   whether it is classified alone, in any batch, at any thread count —
@@ -254,19 +254,6 @@ pub struct Prediction {
     pub confidence: f32,
 }
 
-/// Why a document was classified the way it was.
-#[derive(Clone, Debug)]
-pub struct Explanation {
-    /// The document's in-vocabulary words, in order (truncated to the
-    /// PLM's context window where applicable).
-    pub tokens: Vec<String>,
-    /// Per-class probabilities, `(label, probability)`.
-    pub probabilities: Vec<(String, f32)>,
-    /// Per-token salience aligned with `tokens` (X-Class attention
-    /// weights); empty when the method has no per-token story.
-    pub token_weights: Vec<f32>,
-}
-
 /// The sharpening factor applied to raw per-class scores (prompt scores,
 /// prototype cosines) before softmax — the same constant PromptClass uses
 /// to turn scores into a usable distribution.
@@ -444,45 +431,6 @@ impl Engine {
         Ok(Ingested {
             generation,
             predictions: probs.iter().map(|p| self.to_prediction(p)).collect(),
-        })
-    }
-
-    /// Explain one document: per-class probabilities plus per-token
-    /// salience where the method has one (X-Class attention).
-    pub fn explain(&self, line: &str) -> Result<Explanation, EngineError> {
-        let model = self.serve_model()?;
-        let tokens = self.tokenize(line);
-        let mut words: Vec<String> = tokens
-            .iter()
-            .map(|&t| self.dataset.corpus.vocab.word(t).to_string())
-            .collect();
-        let mut token_weights = Vec::new();
-        let probs = match &*model {
-            ServeModel::XClass(m) => {
-                let plm = self.plm_ref()?;
-                let rep = &plm.encode_docs(std::slice::from_ref(&tokens), &self.exec)[0];
-                if rep.tokens.rows() > 0 {
-                    token_weights = m.attention(&rep.tokens);
-                }
-                // The encode truncates to the PLM's context window; keep
-                // the word list aligned with the weights.
-                words.truncate(rep.tokens.rows());
-                m.predict_proba(&rep.tokens)
-            }
-            _ => self
-                .proba_for_tokens(&model, std::slice::from_ref(&tokens))?
-                .remove(0),
-        };
-        let probabilities = self
-            .labels()
-            .iter()
-            .cloned()
-            .zip(probs.iter().copied())
-            .collect();
-        Ok(Explanation {
-            tokens: words,
-            probabilities,
-            token_weights,
         })
     }
 
@@ -941,18 +889,6 @@ mod tests {
             })
         ));
         assert_eq!(engine.generation(), 0, "a refused ingest takes no stamp");
-    }
-
-    #[test]
-    fn explain_aligns_tokens_and_weights_for_xclass() {
-        let engine = test_engine(MethodKind::XClass);
-        let ex = engine
-            .explain("the team won the championship game")
-            .unwrap();
-        assert_eq!(ex.tokens.len(), ex.token_weights.len());
-        assert_eq!(ex.probabilities.len(), 3);
-        let total: f32 = ex.token_weights.iter().sum();
-        assert!((total - 1.0).abs() < 1e-4, "attention sums to {total}");
     }
 
     fn test_engine_threads(method: MethodKind, threads: usize) -> Engine {

@@ -41,10 +41,14 @@ fn misses() -> u64 {
 #[test]
 fn warm_fast_run_after_cold_exact_run_shares_no_tier_sensitive_entries() {
     // A private store directory: this test is about *which* keys hit, so it
-    // must start cold. Set before the global store is first touched.
+    // must start cold. Set before the global store is first touched. The
+    // pretrained checkpoint lives in its own store, counted under `plm.*`,
+    // so an inherited checkpoint directory is reused.
     let dir = std::env::temp_dir().join(format!("structmine-tier-cache-{}", std::process::id()));
     std::env::set_var("STRUCTMINE_STORE_DIR", dir.display().to_string());
-    std::env::set_var("STRUCTMINE_PLM_CACHE_DIR", dir.display().to_string());
+    if std::env::var_os("STRUCTMINE_PLM_CACHE_DIR").is_none() {
+        std::env::set_var("STRUCTMINE_PLM_CACHE_DIR", dir.display().to_string());
+    }
 
     // Cold Exact run: everything below the engine misses and computes.
     run_pipeline(Precision::Exact);

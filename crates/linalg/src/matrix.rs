@@ -309,12 +309,6 @@ impl PackedMatrix {
     pub fn fingerprint(&self) -> u128 {
         self.fingerprint
     }
-
-    /// Panel buffer size in floats (diagnostics / memory accounting).
-    #[inline]
-    pub fn panel_len(&self) -> usize {
-        self.panels.len()
-    }
 }
 
 /// A dense row-major matrix of `f32`.
@@ -759,11 +753,6 @@ impl Matrix {
         for i in 0..self.rows {
             crate::vector::normalize(self.row_mut(i));
         }
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f32 {
-        self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
     }
 
     /// Stack matrices vertically; all operands must share a column count.

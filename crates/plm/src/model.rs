@@ -397,12 +397,6 @@ impl MiniPlm {
     pub fn token_embedding(&self, t: TokenId) -> &[f32] {
         self.store.value(self.tok.table()).row(t as usize)
     }
-
-    /// The `[CLS]` hidden state of a wrapped sequence.
-    pub fn cls_embed(&self, tokens: &[TokenId]) -> Vec<f32> {
-        let seq = self.wrap(tokens);
-        self.encode(&seq, Precision::Exact).row(0).to_vec()
-    }
 }
 
 // Inference shares one model immutably (`&self` + `Arc`) across the exec

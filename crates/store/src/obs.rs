@@ -36,8 +36,7 @@
 //! identical runs, or between thread counts) iff its key ends in `_ms` or
 //! any of its `.`/`_`-separated tokens equals `thread`/`threads`
 //! (case-insensitive). Everything else must be byte-stable. [`masked_report`]
-//! applies exactly this rule; the determinism tests and the CI smoke rely
-//! on it.
+//! applies exactly this rule; the determinism tests rely on it.
 
 use parking_lot::Mutex;
 use serde::Value;
@@ -213,8 +212,8 @@ pub fn record_span_at(path: &[String], elapsed: Duration) {
 }
 
 /// Total recorded wall time of root (depth-1) spans, in nanoseconds. The
-/// report's `attributed_ms` comes from this; the CI smoke asserts it covers
-/// ≥ 90% of `total_wall_ms`.
+/// report's `attributed_ms` comes from this; the determinism matrix asserts
+/// it covers ≥ 90% of `total_wall_ms` on cold runs.
 fn attributed_root_ns(map: &SpanMap) -> u128 {
     map.iter()
         .filter(|(path, _)| path.len() == 1)
@@ -594,8 +593,9 @@ pub fn validate_report(json: &str) -> Result<Value, String> {
 }
 
 /// The fraction of process wall time attributed to root spans
-/// (`attributed_ms / total_wall_ms`). The CI smoke asserts ≥ 0.9: a run
-/// whose time mostly escapes the span tree is not observable.
+/// (`attributed_ms / total_wall_ms`). The determinism matrix asserts ≥ 0.9
+/// on cold runs: a run whose time mostly escapes the span tree is not
+/// observable.
 pub fn report_coverage(report: &Value) -> Result<f64, String> {
     let spans = get(report, "spans", "report")?;
     let total = expect_number(
@@ -613,8 +613,8 @@ pub fn report_coverage(report: &Value) -> Result<f64, String> {
 }
 
 /// The value of one `config.env` entry in a validated report, if present.
-/// CI uses this to assert the precision tier landed in the config
-/// fingerprint's input set (`STRUCTMINE_PRECISION`).
+/// The determinism matrix uses this to assert the precision tier landed in
+/// the config fingerprint's input set (`STRUCTMINE_PRECISION`).
 pub fn report_config_env(report: &Value, key: &str) -> Result<Option<String>, String> {
     let config = get(report, "config", "report")?;
     match get(config, "env", "report.config")? {

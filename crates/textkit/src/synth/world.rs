@@ -15,7 +15,6 @@
 use crate::corpus::{Corpus, Doc};
 use crate::vocab::{TokenId, Vocab};
 use rand::rngs::StdRng;
-use rand::Rng;
 use structmine_linalg::rng as lrng;
 
 /// Identifier of a word pool inside a [`World`].
@@ -114,11 +113,6 @@ impl World {
         &self.vocab
     }
 
-    /// Consume the world, returning its vocabulary.
-    pub fn into_vocab(self) -> Vocab {
-        self.vocab
-    }
-
     /// Generator configuration.
     pub fn config(&self) -> &WorldConfig {
         &self.config
@@ -172,18 +166,6 @@ impl World {
             corpus.docs.push(doc);
         }
         corpus
-    }
-
-    /// Draw a random token from a pool (used for tag/keyword synthesis).
-    pub fn sample_from_pool(&self, rng: &mut StdRng, id: PoolId) -> TokenId {
-        let pool = &self.pools[id];
-        let w = lrng::sample_categorical(rng, &pool.weights);
-        pool.tokens[w]
-    }
-
-    /// Jitter for document lengths used by short-text recipes (tweets).
-    pub fn short_len(&self, rng: &mut StdRng) -> usize {
-        rng.gen_range(8..=16)
     }
 }
 

@@ -60,15 +60,6 @@ impl TfIdf {
         }
         v
     }
-
-    /// TF-IDF vectors for every document in `corpus`.
-    pub fn vectorize_corpus(&self, corpus: &Corpus) -> Vec<SparseVec> {
-        corpus
-            .docs
-            .iter()
-            .map(|d| self.vectorize(&d.tokens))
-            .collect()
-    }
 }
 
 /// Cosine similarity of two sorted sparse vectors.
