@@ -5,8 +5,9 @@
 //! Shapes mirror the two regimes the mini-PLM actually hits: "small" is an
 //! attention score product at standard tier (48-token sequence, d_head 12),
 //! "medium" is the tied MLM projection (hidden states against a vocab-sized
-//! table). Run with `cargo bench --bench kernels`; CI compiles it via
-//! `cargo bench --no-run`.
+//! table). The `served_*` cases are the four Test-tier block products a
+//! served encode runs on prepacked weights, at both tiers. Run with
+//! `cargo bench --bench kernels`; CI compiles it via `cargo bench --no-run`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use structmine_linalg::{rng, ExecPolicy, Matrix, Precision, Rhs};
@@ -92,8 +93,8 @@ fn bench_kernels(c: &mut Criterion) {
             black_box(out.get(0, 0))
         })
     });
-    // Fast-tier twin: prepacked panels fed to the runtime-dispatched
-    // SSE2 tile (branch-free, no sparse-row skip).
+    // Fast-tier twin: the same runtime-dispatched tile without the
+    // sparse-row skip.
     group.bench_function("prepacked_fast_medium_into", |b| {
         b.iter(|| {
             a_med.matmul_into(Rhs::Packed(&packed_med), &fast, &mut out);
@@ -105,6 +106,27 @@ fn bench_kernels(c: &mut Criterion) {
     group.bench_function("pack_medium", |b| {
         b.iter(|| black_box(structmine_linalg::PackedMatrix::pack(&b_med)))
     });
+
+    // The Test-tier block products a served encode runs (32 rows,
+    // d_model 32, d_ff 64), each on prepacked weights at both tiers.
+    for (name, k, n) in [
+        ("qkv", 32, 96),
+        ("attn_out", 32, 32),
+        ("ffn_in", 32, 64),
+        ("ffn_out", 64, 32),
+    ] {
+        let a = random_matrix(32, k, 7);
+        let packed = structmine_linalg::PackedMatrix::pack(&random_matrix(k, n, 8));
+        let mut out = Matrix::zeros(32, n);
+        for (tier, policy) in [("exact", &exact), ("fast", &fast)] {
+            group.bench_function(&format!("served_{name}_32x{k}x{n}_{tier}"), |b| {
+                b.iter(|| {
+                    a.matmul_into(Rhs::Packed(&packed), policy, &mut out);
+                    black_box(out.get(0, 0))
+                })
+            });
+        }
+    }
     group.finish();
 }
 

@@ -91,22 +91,6 @@ pub fn fast_exp(x: f32) -> f32 {
     poly * scale
 }
 
-/// Apply [`fast_tanh`] over a slice in place (the shape the fused GELU
-/// and activation kernels want). Dispatches to the SSE2 four-lane pass
-/// where available ([`crate::simd::fast_tanh_slice`]) — bitwise equal to
-/// the scalar loop for finite inputs.
-#[inline]
-pub fn fast_tanh_slice(xs: &mut [f32]) {
-    crate::simd::fast_tanh_slice(xs);
-}
-
-/// Apply [`fast_exp`] over a slice in place, SSE2-dispatched the same
-/// way as [`fast_tanh_slice`].
-#[inline]
-pub fn fast_exp_slice(xs: &mut [f32]) {
-    crate::simd::fast_exp_slice(xs);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

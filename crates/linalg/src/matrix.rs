@@ -25,8 +25,8 @@
 use serde::{Deserialize, Serialize};
 
 /// Register-tile width of the packed micro-kernel: output columns are
-/// processed in panels of `NR` independent accumulators (two 4-wide SIMD
-/// lanes after LLVM auto-vectorization).
+/// processed in panels of `NR` independent accumulators (one 8-lane AVX2
+/// vector in [`crate::simd`]'s tile).
 pub(crate) const NR: usize = 8;
 
 /// Register-tile height of the packed micro-kernel: `MR` output rows are
@@ -70,11 +70,11 @@ fn with_pack_scratch<R>(f: impl FnOnce(&mut Vec<f32>) -> R) -> R {
 /// never output bits.
 ///
 /// `SKIP_ZEROS` is the Exact tier's `a == 0.0` skip. Without it this is
-/// the portable Fast-tier kernel, the scalar twin of the SSE2 tile in
-/// [`crate::simd`]: a straight multiply-add sweep with no data-dependent
-/// branch, which can differ from Exact in the last bits because zero
-/// left-hand contributions (and `-0.0`/NaN propagation through them) are
-/// no longer skipped.
+/// the Fast tier's straight multiply-add sweep, which can differ from
+/// Exact in the last bits because zero left-hand contributions (and
+/// `-0.0`/NaN propagation through them) are no longer skipped. At both
+/// tiers this is the portable twin of the AVX2 tile in [`crate::simd`],
+/// which must reproduce its bits.
 #[inline]
 pub(crate) fn packed_block_kernel<const SKIP_ZEROS: bool>(
     a_block: &[f32],
@@ -482,8 +482,10 @@ impl Matrix {
     /// point every product goes through. The policy's thread count splits
     /// the output rows; its [`Precision`](crate::Precision) picks the
     /// kernel: Exact keeps the `a == 0.0` skip and is bitwise reproducible,
-    /// Fast runs the branch-free SIMD-dispatched kernel, which is *not*
-    /// bit-compatible with Exact (training never asks for it).
+    /// Fast runs the branch-free sweep, which is *not* bit-compatible with
+    /// Exact (training never asks for it). Both tiers run the
+    /// runtime-dispatched tile of [`crate::simd`], whose bits equal the
+    /// portable kernel's on every host.
     ///
     /// A dense operand is packed into panels on every call once the left
     /// operand has enough rows to amortize it; a [`Rhs::Packed`] operand
@@ -520,11 +522,7 @@ impl Matrix {
         let packed_product = |panels: &[f32], out: &mut [f32]| {
             Self::fill_row_blocks(policy, self.rows, n, out, |start, block| {
                 let a_block = &self.data[start * k..(start + block.len() / n) * k];
-                if EXACT {
-                    packed_block_kernel::<true>(a_block, k, panels, n, block);
-                } else {
-                    crate::simd::packed_block_kernel_fast(a_block, k, panels, n, block);
-                }
+                crate::simd::block_kernel::<EXACT>(a_block, k, panels, n, block);
             });
         };
         match rhs {
@@ -1007,23 +1005,73 @@ mod tests {
         }
     }
 
-    /// The SSE2 Fast tile agrees bitwise with its portable twin, the
-    /// generic kernel without the zero skip, on full tiles and ragged
-    /// edges alike: non-x86 hosts compute the Fast bits tested here.
+    /// The dispatched block kernel (the AVX2 tile on a host with AVX2)
+    /// reproduces its portable twin bit for bit at both tiers, so a host
+    /// without AVX2 computes the same bits. Shapes cover full tiles and
+    /// ragged edges: rows not a multiple of `MR`, columns not a multiple
+    /// of `NR`, and `k = 1`. Zeros in the left operand meet ±inf and NaN
+    /// in the right one, so the Exact skip must keep those terms out
+    /// while Fast multiplies them through to NaN. NaN payloads are not
+    /// part of the contract; any NaN matches any NaN.
     #[test]
-    fn fast_tile_matches_portable_twin_bitwise() {
+    fn block_kernel_matches_portable_twin_bitwise_at_both_tiers() {
+        fn run<const SKIP_ZEROS: bool>(a: &Matrix, panels: &[f32], n: usize) -> Vec<f32> {
+            let (m, k) = a.shape();
+            let path = if crate::simd::avx2_available() {
+                "avx2"
+            } else {
+                "portable"
+            };
+            // Stale NaN contents must be fully overwritten.
+            let mut tile = vec![f32::NAN; m * n];
+            let mut portable = vec![0.0; m * n];
+            crate::simd::block_kernel::<SKIP_ZEROS>(a.data(), k, panels, n, &mut tile);
+            packed_block_kernel::<SKIP_ZEROS>(a.data(), k, panels, n, &mut portable);
+            for (i, (t, p)) in tile.iter().zip(&portable).enumerate() {
+                assert!(
+                    t.to_bits() == p.to_bits() || (t.is_nan() && p.is_nan()),
+                    "{path} tile, skip_zeros={SKIP_ZEROS}, {m}x{k}x{n}, element {i}: {t} vs {p}"
+                );
+            }
+            tile
+        }
         let mut rng = crate::rng::seeded(43);
-        for &(m, k, n) in &[(4usize, 7usize, 8usize), (9, 16, 21), (3, 5, 3)] {
-            let a = gaussian_matrix(m, k, &mut rng);
-            let b = gaussian_matrix(k, n, &mut rng);
+        let shapes = [
+            (4usize, 7usize, 8usize),
+            (32, 32, 96),
+            (9, 16, 21),
+            (3, 5, 3),
+            (6, 1, 13),
+            (7, 33, 64),
+        ];
+        for &(m, k, n) in &shapes {
+            let mut a = gaussian_matrix(m, k, &mut rng);
+            let mut b = gaussian_matrix(k, n, &mut rng);
+            // Zeros of both signs: the skip tests `a == 0.0`, true for -0.0.
+            let zero = |i: usize| if i.is_multiple_of(2) { 0.0 } else { -0.0 };
+            for (i, v) in a.data.iter_mut().step_by(5).enumerate() {
+                *v = zero(i);
+            }
+            // Every row's first term has a zero left factor against ±inf
+            // and NaN in columns 0..3; a non-zero factor meets +inf in
+            // the last column, which neither tier may skip.
+            for i in 0..m {
+                a.row_mut(i)[0] = zero(i);
+            }
+            b.row_mut(0)[..3].copy_from_slice(&[f32::INFINITY, f32::NEG_INFINITY, f32::NAN]);
+            if k > 1 && n > 3 {
+                b.row_mut(k - 1)[n - 1] = f32::INFINITY;
+            }
             let mut panels = Vec::new();
             pack_dense(&mut panels, &b, false);
-            let mut simd = vec![f32::NAN; m * n];
-            let mut portable = vec![0.0; m * n];
-            crate::simd::packed_block_kernel_fast(a.data(), k, &panels, n, &mut simd);
-            packed_block_kernel::<false>(a.data(), k, &panels, n, &mut portable);
-            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&simd), bits(&portable), "{m}x{k}x{n}");
+            let exact = run::<true>(&a, &panels, n);
+            let fast = run::<false>(&a, &panels, n);
+            for i in 0..m {
+                for j in 0..3 {
+                    assert!(exact[i * n + j].is_finite(), "exact skips zero terms");
+                    assert!(fast[i * n + j].is_nan(), "fast multiplies them through");
+                }
+            }
         }
     }
 

@@ -1,36 +1,37 @@
-//! Runtime-dispatched SSE2 micro-kernels for the Fast precision tier.
+//! Runtime-dispatched SIMD micro-kernels: one AVX2 matmul tile for both
+//! precision tiers, and SSE2 row passes for the Fast tier.
 //!
-//! Every function here has two implementations with identical arithmetic
-//! structure: an explicit `f32x4` SSE2 version (`std::arch::x86_64`) and
-//! the portable scalar code it was derived from. Dispatch happens at
-//! runtime via `is_x86_feature_detected!("sse2")` — never at compile time
-//! — because this workspace's reference container is a virtualized host
-//! where `-C target-cpu=native` measurably *hurts* (the hypervisor
-//! advertises AVX the host executes at half rate; DESIGN §14 has the
-//! numbers). SSE2-first is the deliberate ceiling: it is the x86-64
-//! baseline, so the detected branch is taken on effectively every x86
-//! machine, and the scalar fallback exists for other architectures and
-//! is exercised by the same test suite (`*_scalar` twins are public for
-//! exactly that purpose).
+//! Every kernel here has two implementations with identical arithmetic
+//! structure: an explicit `std::arch::x86_64` version and the portable
+//! scalar code it was derived from. Dispatch happens at runtime via
+//! `is_x86_feature_detected!` — never at compile time — so one binary
+//! runs on every x86-64 host and the portable twin stays tested (the
+//! `*_scalar` twins are public for exactly that purpose).
 //!
-//! None of this is reachable from Exact-tier code: only the Fast kernels
-//! ([`Matrix::matmul_into`] at Fast, the fast GELU/softmax/LayerNorm row
-//! passes) route through this module, so the bitwise-reproducibility
-//! contract of the Exact tier is untouched. Within the Fast tier the
-//! SSE2 and scalar paths agree *bitwise* for finite inputs on the matmul
-//! and `tanh`/`exp` kernels (same operation order, and SSE2 `mulps`/
-//! `addps`/`divps` round identically to scalar `f32` ops); the row
-//! reductions (softmax sum/max, LayerNorm mean/variance) tree-reduce
-//! four lanes and so may differ from scalar in the last bits — inside
-//! the documented Fast-tier bounds, and still deterministic for a fixed
-//! input length.
+//! * **The matmul tile** (`block_kernel`) is the one block-kernel call
+//!   of [`Matrix::matmul_into`], at both tiers. It holds one 8-lane AVX2
+//!   accumulator per output row of the `MR x NR` tile and issues
+//!   `vmulps` then `vaddps` (never FMA), each rounding exactly like the
+//!   scalar `a * b` then `+=`. The Exact tier's `a == 0.0` skip is the
+//!   same scalar branch per row. So every output element is the same
+//!   ascending-`k` chain of identically rounded operations as in the
+//!   portable twin (`matrix::packed_block_kernel`), and both tiers' bits
+//!   are the portable kernel's. Hosts without AVX2 run the twin.
+//! * **The row passes** (`tanh`, `exp`, softmax, LayerNorm) serve only
+//!   the Fast tier and stay four SSE2 lanes wide. `tanh`/`exp` agree with
+//!   their scalar twins bitwise for finite inputs (same operation order;
+//!   `mulps`/`addps`/`divps` round like scalar `f32` ops). The softmax
+//!   and LayerNorm reductions tree-reduce four lanes, so they may differ
+//!   from scalar in the last bits — inside the documented Fast-tier
+//!   bounds, and deterministic for a fixed input length. Widening them
+//!   would move Fast bits, so they are not widened.
 //!
 //! [`Matrix::matmul_into`]: crate::Matrix::matmul_into
 
 use crate::fastmath;
 use crate::matrix::{packed_block_kernel, MR, NR};
 
-/// Whether the SSE2 branches are taken on this machine. `true` on every
+/// Whether the SSE2 row passes are taken on this machine. `true` on every
 /// x86-64 (SSE2 is the architecture baseline), `false` elsewhere; public
 /// so tests can assert which path the suite actually exercised.
 #[inline]
@@ -45,41 +46,70 @@ pub fn sse2_available() -> bool {
     }
 }
 
+/// Whether the AVX2 matmul tile is taken on this machine (the portable
+/// twin runs otherwise); public so tests can name the path they checked.
+#[inline]
+pub fn avx2_available() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("avx2")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
 // ------------------------------------------------------------- matmul tile
 
-/// Fast-tier packed block kernel: runtime dispatch between the SSE2 tile
-/// and its scalar twin, the generic block kernel without the Exact
-/// tier's zero skip ([`packed_block_kernel::<false>`]). The only caller is
-/// [`Matrix::matmul_into`] at Fast precision.
+/// The packed block kernel at one tier (`SKIP_ZEROS` is the Exact
+/// tier's `a == 0.0` skip): `out = a_block * B` for `rows = a_block.len()
+/// / k` left-hand rows and `B` (`k x n`) packed in `NR`-column panels.
+/// Runtime dispatch between the AVX2 tile and the portable twin
+/// [`packed_block_kernel`]; both give the same bits. The only caller is
+/// [`Matrix::matmul_into`].
 ///
-/// [`packed_block_kernel::<false>`]: crate::matrix::packed_block_kernel
+/// # Panics
+/// Panics if `k` or `n` is zero, or `out` does not hold exactly
+/// `rows x n` elements: the AVX2 tile's raw stores rely on it.
+///
+/// [`Matrix::matmul_into`]: crate::Matrix::matmul_into
 #[inline]
-pub(crate) fn packed_block_kernel_fast(
+pub(crate) fn block_kernel<const SKIP_ZEROS: bool>(
     a_block: &[f32],
     k: usize,
     packed: &[f32],
     n: usize,
     out: &mut [f32],
 ) {
+    assert!(k > 0 && n > 0, "empty matmul block");
+    assert_eq!(out.len(), a_block.len() / k * n, "matmul block output size");
     #[cfg(target_arch = "x86_64")]
-    if sse2_available() {
-        // SAFETY: SSE2 support verified at runtime on the line above.
-        unsafe { packed_block_kernel_fast_sse2(a_block, k, packed, n, out) };
+    if avx2_available() {
+        // SAFETY: AVX2 support verified at runtime on the line above; the
+        // asserts above give the tile's size preconditions.
+        unsafe { block_kernel_avx2::<SKIP_ZEROS>(a_block, k, packed, n, out) };
         return;
     }
-    packed_block_kernel::<false>(a_block, k, packed, n, out);
+    packed_block_kernel::<SKIP_ZEROS>(a_block, k, packed, n, out);
 }
 
-/// SSE2 fast-tier block kernel: the full `MR x NR` register tile holds
-/// eight `__m128` accumulators (two 4-lane vectors per row); each `k`
-/// step loads the panel's `NR`-vector once and broadcasts one left-hand
-/// scalar per row. `mulps` + `addps` round identically to the scalar
-/// `a * b` then `+=`, and the lane order equals the scalar `j` order, so
-/// the full tile is bitwise equal to the scalar twin for finite inputs.
-/// Ragged edges (< MR rows or < NR columns) reuse the scalar sweep.
+/// AVX2 block kernel. A full `MR x NR` tile keeps one `__m256`
+/// accumulator per row: each `k` step loads the panel's `NR`-vector once
+/// and broadcasts one left-hand scalar per row, skipped when
+/// `SKIP_ZEROS` and it is `0.0`. Ragged edges (fewer than `MR` rows or
+/// `NR` columns left) run the same chain one row at a time, with masked
+/// loads and stores confining a short panel to its `w` columns. Lane
+/// `j` of an accumulator is output column `j0 + j`, so each element is
+/// the portable twin's chain, rounded the same way.
+///
+/// # Safety
+/// The CPU must support AVX2, `k` and `n` must be positive, and `out`
+/// must hold exactly `a_block.len() / k * n` elements ([`block_kernel`]
+/// checks all three). Panel reads are bounds-checked per panel.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-unsafe fn packed_block_kernel_fast_sse2(
+#[target_feature(enable = "avx2")]
+pub(crate) unsafe fn block_kernel_avx2<const SKIP_ZEROS: bool>(
     a_block: &[f32],
     k: usize,
     packed: &[f32],
@@ -87,43 +117,51 @@ unsafe fn packed_block_kernel_fast_sse2(
     out: &mut [f32],
 ) {
     use std::arch::x86_64::*;
-    debug_assert!(k > 0 && n > 0);
     let rows = a_block.len() / k;
+    let lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
     let mut panel_start = 0;
     let mut j0 = 0;
     while j0 < n {
         let w = NR.min(n - j0);
+        // Bounds-checked once: every load below is at `kk * w + lane` for
+        // `kk < k` and an unmasked `lane < w`, inside this slice.
         let panel = &packed[panel_start..panel_start + k * w];
         let mut r0 = 0;
         while r0 < rows {
             let h = MR.min(rows - r0);
             if w == NR && h == MR {
-                let mut acc = [[_mm_setzero_ps(); 2]; MR];
+                // Row `r` of the tile starts at `a_tile + r * k`; every
+                // read below is at `(r0 + r) * k + kk < rows * k`.
+                let a_tile = a_block.as_ptr().add(r0 * k);
+                let mut acc = [_mm256_setzero_ps(); MR];
                 for kk in 0..k {
-                    let b0 = _mm_loadu_ps(panel.as_ptr().add(kk * NR));
-                    let b1 = _mm_loadu_ps(panel.as_ptr().add(kk * NR + 4));
+                    let b = _mm256_loadu_ps(panel.as_ptr().add(kk * NR));
                     for (r, acc_r) in acc.iter_mut().enumerate() {
-                        let a = _mm_set1_ps(*a_block.get_unchecked((r0 + r) * k + kk));
-                        acc_r[0] = _mm_add_ps(acc_r[0], _mm_mul_ps(a, b0));
-                        acc_r[1] = _mm_add_ps(acc_r[1], _mm_mul_ps(a, b1));
+                        let a = a_tile.add(r * k + kk);
+                        if SKIP_ZEROS && *a == 0.0 {
+                            continue;
+                        }
+                        *acc_r = _mm256_add_ps(*acc_r, _mm256_mul_ps(_mm256_broadcast_ss(&*a), b));
                     }
                 }
                 for (r, acc_r) in acc.iter().enumerate() {
-                    let o0 = (r0 + r) * n + j0;
-                    _mm_storeu_ps(out.as_mut_ptr().add(o0), acc_r[0]);
-                    _mm_storeu_ps(out.as_mut_ptr().add(o0 + 4), acc_r[1]);
+                    // (r0 + r) * n + j0 + NR <= rows * n = out.len().
+                    _mm256_storeu_ps(out.as_mut_ptr().add((r0 + r) * n + j0), *acc_r);
                 }
             } else {
+                // Lanes `>= w` are masked off: never loaded, never stored.
+                let mask = _mm256_cmpgt_epi32(_mm256_set1_epi32(w as i32), lanes);
                 for r in r0..r0 + h {
                     let a_row = &a_block[r * k..(r + 1) * k];
-                    let mut acc = [0.0f32; NR];
+                    let mut acc = _mm256_setzero_ps();
                     for (kk, &a) in a_row.iter().enumerate() {
-                        let b = &panel[kk * w..kk * w + w];
-                        for (o, &bv) in acc[..w].iter_mut().zip(b) {
-                            *o += a * bv;
+                        if SKIP_ZEROS && a == 0.0 {
+                            continue;
                         }
+                        let b = _mm256_maskload_ps(panel.as_ptr().add(kk * w), mask);
+                        acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(a), b));
                     }
-                    out[r * n + j0..r * n + j0 + w].copy_from_slice(&acc[..w]);
+                    _mm256_maskstore_ps(out.as_mut_ptr().add(r * n + j0), mask, acc);
                 }
             }
             r0 += h;

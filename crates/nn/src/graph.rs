@@ -396,12 +396,18 @@ impl Graph {
         if self.precision == Precision::Fast {
             // Fused fast forward: polynomial tanh, no cached matrix to
             // fill (inference tapes never differentiate, so caching the
-            // inner tanh is one full matrix write of pure overhead).
+            // inner tanh is one full matrix write of pure overhead). The
+            // inner term goes through the output buffer so the SIMD tanh
+            // pass runs over it in place — bitwise the scalar
+            // `fast_tanh` per element for finite inputs.
             let va = &self.nodes[a.0].value;
             let mut v = arena::take_uninit(va.rows(), va.cols());
             for (o, &x) in v.data_mut().iter_mut().zip(va.data()) {
-                let tanh = fastmath::fast_tanh(GELU_C * (x + 0.044715 * x * x * x));
-                *o = 0.5 * x * (1.0 + tanh);
+                *o = GELU_C * (x + 0.044715 * x * x * x);
+            }
+            simd::fast_tanh_slice(v.data_mut());
+            for (o, &x) in v.data_mut().iter_mut().zip(va.data()) {
+                *o = 0.5 * x * (1.0 + *o);
             }
             return self.push(v, Op::GeluFast(a));
         }

@@ -1,14 +1,15 @@
-//! The HTTP server: bounded accept loop, one handler thread per
-//! connection, all classification funneled through the [`Batcher`].
+//! The HTTP server: a blocking accept loop, one handler thread per
+//! connection, all classification funneled through the [`Batcher`] and
+//! every ingest through one long-lived `serve-ingest` thread.
 
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
-use structmine_engine::{format_prediction_line, Engine};
-use structmine_store::obs;
+use structmine_engine::{format_prediction_line, Engine, Ingested};
+use structmine_store::{context, obs};
 
 use crate::batcher::{BatchQueue, Batcher, BatcherConfig};
 use crate::http::{self, HttpError, Request};
@@ -39,12 +40,14 @@ impl Default for ServeConfig {
 }
 
 /// A running server. [`Server::stop`] (also called on drop) stops
-/// accepting, drains in-flight connections, then flushes the batcher.
+/// accepting, drains in-flight connections, then flushes the batcher and
+/// finishes the ingest thread.
 pub struct Server {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
     accept_handle: Option<std::thread::JoinHandle<()>>,
     batcher: Option<Batcher>,
+    ingester: Option<Ingester>,
 }
 
 impl Server {
@@ -53,22 +56,25 @@ impl Server {
         // Advertise the engine's tier so every `/healthz` body names it.
         structmine_store::health::set_precision_tier(engine.precision().name());
         let listener = TcpListener::bind(("127.0.0.1", cfg.port))?;
-        // Non-blocking accept so the loop can observe the shutdown flag.
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let batcher = Batcher::start(Arc::clone(&engine), cfg.batch)?;
-        let queue = batcher.queue();
+        let ingester = Ingester::start(engine)?;
+        let routes = Routes {
+            batch: batcher.queue(),
+            ingest: ingester.tx.clone(),
+        };
         let shutdown = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&shutdown);
         let timeout = socket_timeout(cfg.socket_timeout_ms);
         let accept_handle = std::thread::Builder::new()
             .name("serve-accept".into())
-            .spawn(move || accept_loop(listener, queue, engine, flag, timeout))?;
+            .spawn(move || accept_loop(listener, routes, flag, timeout))?;
         Ok(Server {
             addr,
             shutdown,
             accept_handle: Some(accept_handle),
             batcher: Some(batcher),
+            ingester: Some(ingester),
         })
     }
 
@@ -78,14 +84,21 @@ impl Server {
     }
 
     /// Graceful shutdown: stop accepting, finish in-flight requests,
-    /// flush the final micro-batch. Idempotent.
+    /// flush the final micro-batch, finish the ingest thread. Idempotent.
     pub fn stop(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
         if let Some(h) = self.accept_handle.take() {
+            // The loop is blocked in `accept()`: one connection to our own
+            // address wakes it to see the flag (that connection is
+            // dropped). If the connect fails, a client's next one does.
+            let _ = TcpStream::connect(self.addr);
             let _ = h.join();
         }
         if let Some(b) = self.batcher.take() {
             b.shutdown();
+        }
+        if let Some(i) = self.ingester.take() {
+            i.shutdown();
         }
     }
 }
@@ -102,27 +115,85 @@ fn socket_timeout(ms: u64) -> Option<Duration> {
     (ms > 0).then(|| Duration::from_millis(ms))
 }
 
+/// One ingest request for the `serve-ingest` thread, and where its reply
+/// goes.
+struct IngestJob {
+    lines: Vec<String>,
+    /// The sending connection's span path (`serve/request`): the ingest's
+    /// spans nest under it, as when the connection thread ran the ingest.
+    stages: Vec<String>,
+    reply: mpsc::Sender<Result<Ingested, String>>,
+}
+
+/// The one long-lived thread that runs every `/ingest`.
+///
+/// Ingests are serialized by the engine's mutex anyway, so one thread
+/// loses no concurrency. What it saves is memory: run on the connection
+/// threads, overlapping ingests each encode on a cold thread-local graph
+/// arena and each get their own malloc arena, and peak RSS grows with
+/// their overlap (DESIGN §10).
+struct Ingester {
+    tx: mpsc::Sender<IngestJob>,
+    handle: std::thread::JoinHandle<()>,
+}
+
+impl Ingester {
+    fn start(engine: Arc<Engine>) -> std::io::Result<Ingester> {
+        let (tx, rx) = mpsc::channel::<IngestJob>();
+        let handle = std::thread::Builder::new()
+            .name("serve-ingest".into())
+            .spawn(move || {
+                for job in rx {
+                    let result =
+                        context::with_stage_path(&job.stages, || engine.ingest(&job.lines))
+                            .map_err(|e| e.to_string());
+                    // A receiver may have hung up (client gone).
+                    let _ = job.reply.send(result);
+                }
+            })?;
+        Ok(Ingester { tx, handle })
+    }
+
+    /// Close the channel and wait for queued ingests to finish. Call once
+    /// every connection handler (and its sender clone) is gone.
+    fn shutdown(self) {
+        drop(self.tx);
+        let _ = self.handle.join();
+    }
+}
+
+/// Where a connection handler sends the work it cannot do itself.
+#[derive(Clone)]
+struct Routes {
+    batch: BatchQueue,
+    ingest: mpsc::Sender<IngestJob>,
+}
+
 fn accept_loop(
     listener: TcpListener,
-    queue: BatchQueue,
-    engine: Arc<Engine>,
+    routes: Routes,
     shutdown: Arc<AtomicBool>,
     timeout: Option<Duration>,
 ) {
     let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    while !shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        // A connection accepted once the flag is set (`stop`'s wake-up
+        // among them) is dropped unanswered.
+        if shutdown.load(Ordering::SeqCst) {
+            break;
+        }
+        match accepted {
             Ok((stream, _)) => {
                 // Both deadlines up front: a client that stalls sending its
                 // request *or* stops reading its response is disconnected,
                 // so handler threads (and shutdown's join) stay bounded.
                 let _ = stream.set_read_timeout(timeout);
                 let _ = stream.set_write_timeout(timeout);
-                let q = queue.clone();
-                let e = Arc::clone(&engine);
+                let r = routes.clone();
                 match std::thread::Builder::new()
                     .name("serve-conn".into())
-                    .spawn(move || handle_connection(stream, q, e))
+                    .spawn(move || handle_connection(stream, r))
                 {
                     Ok(h) => {
                         handlers.push(h);
@@ -141,9 +212,6 @@ fn accept_loop(
                     }
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
             Err(e) => {
                 obs::log_warn(&format!("[serve] accept error: {e}"));
                 std::thread::sleep(Duration::from_millis(10));
@@ -151,7 +219,8 @@ fn accept_loop(
         }
     }
     // Drain: every accepted connection gets its response before the
-    // batcher (whose queue this thread's `queue` clone keeps open) closes.
+    // batcher and the ingest thread (whose channels this thread's
+    // `routes` keeps open) close.
     for h in handlers {
         let _ = h.join();
     }
@@ -166,7 +235,7 @@ fn is_timeout(e: &std::io::Error) -> bool {
     )
 }
 
-fn handle_connection(mut stream: TcpStream, queue: BatchQueue, engine: Arc<Engine>) {
+fn handle_connection(mut stream: TcpStream, routes: Routes) {
     let _span = obs::span("serve/request");
     obs::counter_add("serve.requests", 1);
     let request = match http::read_request(&mut stream) {
@@ -216,8 +285,8 @@ fn handle_connection(mut stream: TcpStream, queue: BatchQueue, engine: Arc<Engin
                 ),
             }
         }
-        ("POST", "/classify") => classify_route(&mut stream, &queue, &request),
-        ("POST", "/ingest") => ingest_route(&mut stream, &engine, &request),
+        ("POST", "/classify") => classify_route(&mut stream, &routes.batch, &request),
+        ("POST", "/ingest") => ingest_route(&mut stream, &routes.ingest, &request),
         _ => respond_text(
             &mut stream,
             404,
@@ -294,9 +363,9 @@ fn classify_route(stream: &mut TcpStream, queue: &BatchQueue, request: &Request)
 ///
 /// Ingestion bypasses the micro-batcher on purpose: deltas are stateful and
 /// strictly ordered (generation N+1 follows N), while the batcher exists to
-/// coalesce stateless per-document work. The engine serializes concurrent
-/// ingests internally.
-fn ingest_route(stream: &mut TcpStream, engine: &Engine, request: &Request) {
+/// coalesce stateless per-document work. Each delta runs on the
+/// `serve-ingest` thread ([`Ingester`]), in arrival order.
+fn ingest_route(stream: &mut TcpStream, ingest: &mpsc::Sender<IngestJob>, request: &Request) {
     let body = match std::str::from_utf8(&request.body) {
         Ok(s) => s,
         Err(_) => {
@@ -313,8 +382,16 @@ fn ingest_route(stream: &mut TcpStream, engine: &Engine, request: &Request) {
         respond_text(stream, 400, "Bad Request", "no input documents\n");
         return;
     }
-    match engine.ingest(&lines) {
-        Ok(ingested) => {
+    let (reply, rx) = mpsc::channel();
+    let job = IngestJob {
+        lines: lines.clone(),
+        stages: context::stage_path(),
+        reply,
+    };
+    // Either failure means the ingest thread is gone while the server is
+    // accepting: no ingest can be answered again.
+    match ingest.send(job).ok().and_then(|()| rx.recv().ok()) {
+        Some(Ok(ingested)) => {
             obs::counter_add("serve.ingests", 1);
             let mut out = format!("generation\t{}\n", ingested.generation);
             for (pred, line) in ingested.predictions.iter().zip(&lines) {
@@ -323,7 +400,16 @@ fn ingest_route(stream: &mut TcpStream, engine: &Engine, request: &Request) {
             }
             send_response(stream, 200, "OK", "text/plain", out.as_bytes());
         }
-        Err(e) => respond_text(stream, 400, "Bad Request", &format!("{e}\n")),
+        Some(Err(msg)) => respond_text(stream, 400, "Bad Request", &format!("{msg}\n")),
+        None => {
+            structmine_store::health::set_unusable("ingest thread exited before replying");
+            respond_text(
+                stream,
+                500,
+                "Internal Server Error",
+                "ingest thread exited before replying\n",
+            );
+        }
     }
 }
 

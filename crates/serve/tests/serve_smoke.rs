@@ -1,10 +1,12 @@
 //! In-process server smoke: concurrent `/classify` requests return exactly
-//! the bytes the CLI path produces for the same documents, and `/stats`
-//! parses against the run-report schema.
+//! the bytes the CLI path produces for the same documents, `/stats`
+//! parses against the run-report schema, concurrent `/ingest` requests get
+//! gap-free receipts, and `stop` wakes an idle accept loop.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Barrier};
+use std::time::Duration;
 
 use structmine_engine::{
     format_prediction_line, Engine, EngineConfig, EngineSource, MethodKind, PlmSpec,
@@ -167,6 +169,43 @@ fn oversized_bodies_are_rejected() {
     server.stop();
 }
 
+/// Labels of the spans at `path` in a run report's span tree: the root
+/// spans for an empty path, else the children of the spans that path
+/// names from the root down.
+fn span_children(report: &serde::Value, path: &[&str]) -> Vec<String> {
+    fn field<'a>(v: &'a serde::Value, key: &str) -> Option<&'a serde::Value> {
+        match v {
+            serde::Value::Map(entries) => entries.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+    fn nodes(v: Option<&serde::Value>) -> &[serde::Value] {
+        match v {
+            Some(serde::Value::Seq(items)) => items,
+            _ => &[],
+        }
+    }
+    fn label(node: &serde::Value) -> Option<&str> {
+        match field(node, "label") {
+            Some(serde::Value::Str(s)) => Some(s),
+            _ => None,
+        }
+    }
+    let tree = field(report, "spans").and_then(|spans| field(spans, "tree"));
+    let mut level: Vec<&serde::Value> = nodes(tree).iter().collect();
+    for step in path {
+        level = level
+            .into_iter()
+            .filter(|node| label(node) == Some(step))
+            .flat_map(|node| nodes(field(node, "children")))
+            .collect();
+    }
+    level
+        .into_iter()
+        .filter_map(|node| label(node).map(str::to_string))
+        .collect()
+}
+
 fn post_ingest(addr: &SocketAddr, body: &str) -> (u16, String) {
     request(
         addr,
@@ -241,10 +280,108 @@ fn ingest_appends_generations_and_matches_classify_bytes() {
         json.contains("engine.generation"),
         "report should carry the live generation: {json}"
     );
+    // The ingests ran on the `serve-ingest` thread, yet their spans sit
+    // under the connection's `serve/request`, where readers of `/stats`
+    // (structbench's ingest rows) look for the served ingest time.
+    assert!(
+        span_children(&report, &["serve/request"]).contains(&"engine/ingest".to_string()),
+        "{json}"
+    );
+    assert!(
+        !span_children(&report, &[]).contains(&"engine/ingest".to_string()),
+        "{json}"
+    );
 
     // Empty deltas are client errors, not silent no-ops.
     let (status, _) = post_ingest(&addr, "\n\n");
     assert_eq!(status, 400);
 
+    server.stop();
+}
+
+#[test]
+fn stop_wakes_an_idle_server() {
+    let mut server = Server::start(
+        Arc::new(load_engine()),
+        ServeConfig {
+            port: 0,
+            ..Default::default()
+        },
+    )
+    .expect("server starts");
+    // One answered request, then nothing: the accept loop is (or is about
+    // to be) blocked in `accept()` with no client left to wake it.
+    let (status, _) = request(&server.addr(), "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n");
+    assert_eq!(status, 200);
+    // `stop` runs on its own thread so a missed wake-up fails the bounded
+    // wait below instead of hanging the test.
+    let (done_tx, done) = mpsc::channel();
+    let stopper = std::thread::spawn(move || {
+        server.stop();
+        done_tx.send(()).expect("the test waits for stop");
+    });
+    done.recv_timeout(Duration::from_secs(1))
+        .expect("stop on an idle server returns within 1 s");
+    stopper.join().expect("stop thread");
+}
+
+/// The HTTP twin of the engine's `concurrent_ingests_get_gap_free_receipts`:
+/// four clients released together post three deltas each through the
+/// `serve-ingest` thread. The receipts are exactly 1..=12, each client
+/// sees its own in increasing order, and every prediction line equals
+/// `POST /classify` on the same document.
+#[test]
+fn concurrent_http_ingests_get_gap_free_receipts() {
+    let engine = load_engine();
+    engine.warm().expect("warm");
+    let mut server = Server::start(
+        Arc::new(engine),
+        ServeConfig {
+            port: 0,
+            ..Default::default()
+        },
+    )
+    .expect("server starts");
+    let addr = server.addr();
+    let (status, classified) = post_classify(&addr, &DOCS.join("\n"));
+    assert_eq!(status, 200);
+    let expected: Vec<&str> = classified.lines().collect();
+    assert_eq!(expected.len(), DOCS.len());
+
+    let start = Barrier::new(4);
+    let mut receipts: Vec<u64> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..4)
+            .map(|t| {
+                let (start, expected) = (&start, &expected);
+                scope.spawn(move || {
+                    start.wait();
+                    let mine: Vec<u64> = (0..3)
+                        .map(|k| {
+                            let first = (t + k) % DOCS.len();
+                            let (status, body) = post_ingest(&addr, &DOCS[first..].join("\n"));
+                            assert_eq!(status, 200, "{body}");
+                            let mut lines = body.lines();
+                            let generation = lines
+                                .next()
+                                .and_then(|l| l.strip_prefix("generation\t"))
+                                .and_then(|g| g.parse().ok())
+                                .unwrap_or_else(|| panic!("no receipt line: {body:?}"));
+                            let predictions: Vec<&str> = lines.collect();
+                            assert_eq!(predictions, expected[first..], "/ingest vs /classify");
+                            generation
+                        })
+                        .collect();
+                    assert!(mine.windows(2).all(|w| w[0] < w[1]), "{mine:?}");
+                    mine
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("client thread"))
+            .collect()
+    });
+    receipts.sort_unstable();
+    assert_eq!(receipts, (1..=12).collect::<Vec<u64>>());
     server.stop();
 }

@@ -17,7 +17,9 @@
 //!
 //! The context is per-thread. Parallel helpers join their workers on the
 //! spawning thread, so the label visible at `join()` time — where panics
-//! are reported — is the right one.
+//! are reported — is the right one. A long-lived thread that runs work
+//! handed over from another adopts the sender's path for it
+//! ([`with_stage_path`]), so its spans land where the sender's would.
 
 use std::cell::RefCell;
 use std::time::Instant;
@@ -77,6 +79,30 @@ pub fn current_stage_label() -> Option<String> {
     STAGE_STACK.with(|s| s.borrow().last().cloned())
 }
 
+/// This thread's open stage labels, outermost first.
+pub fn stage_path() -> Vec<String> {
+    STAGE_STACK.with(|s| s.borrow().clone())
+}
+
+/// Run `f` as if the stages of `path` (from [`stage_path`] on another
+/// thread) were open on this one: the spans `f` records nest under
+/// `path`, and none is recorded for `path` itself. A long-lived worker
+/// thread uses it so the work handed to it keeps the span path it had
+/// on the thread that handed it over.
+pub fn with_stage_path<R>(path: &[String], f: impl FnOnce() -> R) -> R {
+    /// Puts this thread's own stack back, also on unwind.
+    struct Restore(Vec<String>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            let own = std::mem::take(&mut self.0);
+            STAGE_STACK.with(|s| *s.borrow_mut() = own);
+        }
+    }
+    let own = STAGE_STACK.with(|s| std::mem::replace(&mut *s.borrow_mut(), path.to_vec()));
+    let _restore = Restore(own);
+    f()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,6 +118,23 @@ mod tests {
             assert_eq!(current_stage_label().as_deref(), Some("outer"));
         });
         assert_eq!(current_stage_label(), None);
+    }
+
+    #[test]
+    fn borrowed_stage_path_nests_and_restores() {
+        with_stage_label("own", || {
+            let path = vec!["serve/request".to_string()];
+            with_stage_path(&path, || {
+                assert_eq!(stage_path(), path);
+                with_stage_label("engine/ingest", || {
+                    assert_eq!(stage_path(), ["serve/request", "engine/ingest"]);
+                });
+            });
+            assert_eq!(stage_path(), ["own"]);
+            let caught = std::panic::catch_unwind(|| with_stage_path(&path, || panic!("boom")));
+            assert!(caught.is_err());
+            assert_eq!(stage_path(), ["own"], "own path must return on unwind");
+        });
     }
 
     #[test]
