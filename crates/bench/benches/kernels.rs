@@ -6,8 +6,11 @@
 //! attention score product at standard tier (48-token sequence, d_head 12),
 //! "medium" is the tied MLM projection (hidden states against a vocab-sized
 //! table). The `served_*` cases are the four Test-tier block products a
-//! served encode runs on prepacked weights, at both tiers. Run with
-//! `cargo bench --bench kernels`; CI compiles it via `cargo bench --no-run`.
+//! served encode runs on prepacked weights, at both tiers. The
+//! `tanh_gelu` group times the Exact tier's `tanh` pass against the libm
+//! loop it replaced, and the GELU op at both tiers, on the Test-tier FFN
+//! activation (32 rows, d_ff 64). Run with `cargo bench --bench kernels`;
+//! CI compiles it via `cargo bench --no-run`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use structmine_linalg::{rng, ExecPolicy, Matrix, Precision, Rhs};
@@ -130,6 +133,56 @@ fn bench_kernels(c: &mut Criterion) {
     group.finish();
 }
 
+/// The Exact `tanh` pass (AVX2 and its scalar twin) against a libm
+/// `f32::tanh` loop over the same GELU inner terms, then `Graph::gelu` at
+/// both tiers on a reused tape, all on the 32 x 64 FFN activation.
+fn bench_tanh_gelu(c: &mut Criterion) {
+    use structmine_linalg::simd;
+    use structmine_nn::graph::Graph;
+
+    let mut group = c.benchmark_group("tanh_gelu");
+    group.sample_size(20);
+    group.measurement_time(std::time::Duration::from_secs(3));
+    group.warm_up_time(std::time::Duration::from_millis(500));
+
+    let x = random_matrix(32, 64, 9);
+    let inner: Vec<f32> = x
+        .data()
+        .iter()
+        .map(|&v| 0.797_884_6 * (v + 0.044715 * v * v * v))
+        .collect();
+    let mut buf = inner.clone();
+    type SlicePass = fn(&mut [f32]);
+    let passes: [(&str, SlicePass); 3] = [
+        ("tanh_libm_32x64", |xs| {
+            xs.iter_mut().for_each(|v| *v = v.tanh())
+        }),
+        ("tanh_exact_slice_32x64", simd::exact_tanh_slice),
+        ("tanh_exact_scalar_32x64", simd::exact_tanh_slice_scalar),
+    ];
+    for (name, pass) in passes {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                buf.copy_from_slice(&inner);
+                pass(&mut buf);
+                black_box(buf[0])
+            })
+        });
+    }
+    for (tier, precision) in [("exact", Precision::Exact), ("fast", Precision::Fast)] {
+        let mut g = Graph::with_precision(precision);
+        group.bench_function(&format!("gelu_32x64_{tier}"), |b| {
+            b.iter(|| {
+                g.reset();
+                let h = g.leaf_copied(&x);
+                let y = g.gelu(h);
+                black_box(g.value(y).get(0, 0))
+            })
+        });
+    }
+    group.finish();
+}
+
 /// A training-shaped forward/backward step (matmul -> gelu -> fused
 /// scaled softmax -> scalar) on a reused tape: measures the arena's
 /// steady-state, allocation-free path.
@@ -165,5 +218,5 @@ fn bench_graph_arena(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_kernels, bench_graph_arena);
+criterion_group!(benches, bench_kernels, bench_tanh_gelu, bench_graph_arena);
 criterion_main!(benches);

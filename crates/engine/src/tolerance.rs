@@ -1,8 +1,8 @@
 //! Accuracy-tolerance harness for the Fast precision tier (DESIGN §13).
 //!
 //! The Fast tier trades bitwise reproducibility for throughput: its
-//! polynomial `tanh`/`exp` approximations and skip-free matmul kernels
-//! change the low bits of every encode. That trade is only acceptable if
+//! polynomial `tanh`/`exp` approximations (and matmul kernels that never
+//! skip a zero term) change the low bits of every encode. That trade is only acceptable if
 //! it is *measured* — this module classifies a document set under an
 //! Exact and a Fast rule built from the same dataset and PLM, and reports
 //! how often the predicted labels agree and how far the winning-class

@@ -1,9 +1,9 @@
 //! Branch-free polynomial approximations backing [`Precision::Fast`].
 //!
-//! The Exact tier spends ~26% of a corpus encode inside scalar libm
-//! `tanh`/`exp` (BENCH_kernels.json); these replacements trade the last
-//! few digits for straight-line arithmetic the autovectorizer can work
-//! with. Both functions are total over finite inputs, monotone
+//! The Exact tier computes `tanh` with the bits of libm's `tanhf`
+//! ([`crate::exactmath`]) and `exp` with libm itself; these replacements
+//! trade the last few digits for straight-line arithmetic the
+//! autovectorizer can work with. Both functions are total over finite inputs, monotone
 //! non-decreasing, and carry documented error bounds that the property
 //! tests in this module enforce:
 //!

@@ -17,6 +17,7 @@
 //! assert!((vector::dot(c.row(0), c.row(1)) - 11.0).abs() < 1e-6);
 //! ```
 
+pub mod exactmath;
 pub mod exec;
 pub mod fastmath;
 pub mod matrix;

@@ -16,11 +16,13 @@
 //! streaming the panel, giving `MR` independent fused-multiply-add chains
 //! per column vector.
 //! Crucially the summation order of every output element is unchanged from
-//! the naive kernel — ascending `k`, one accumulator per element, terms
-//! with a zero left-hand factor skipped — so the blocked kernel is bitwise
-//! identical to the naive reference (up to the sign of exact zeros) and,
-//! because packing happens on the calling thread before rows are split
-//! across workers, bitwise identical for any thread count. See DESIGN §9.
+//! the naive kernel — ascending `k`, one accumulator per element starting
+//! at `+0.0` — so the blocked kernel is bitwise identical to the naive
+//! reference and, because packing happens on the calling thread before
+//! rows are split across workers, bitwise identical for any thread count.
+//! The Exact tier's skip of terms with a zero left-hand factor changes a
+//! bit only where that zero meets an inf or NaN, so the packed kernel
+//! runs it only for a right operand that holds one. See DESIGN §9.
 
 use serde::{Deserialize, Serialize};
 
@@ -69,12 +71,14 @@ fn with_pack_scratch<R>(f: impl FnOnce(&mut Vec<f32>) -> R) -> R {
 /// the naive kernel — so row grouping changes instruction interleaving but
 /// never output bits.
 ///
-/// `SKIP_ZEROS` is the Exact tier's `a == 0.0` skip. Without it this is
-/// the Fast tier's straight multiply-add sweep, which can differ from
-/// Exact in the last bits because zero left-hand contributions (and
-/// `-0.0`/NaN propagation through them) are no longer skipped. At both
-/// tiers this is the portable twin of the AVX2 tile in [`crate::simd`],
-/// which must reproduce its bits.
+/// `SKIP_ZEROS` is the Exact tier's `a == 0.0` skip. It can change a bit
+/// only where a zero left value meets an inf or NaN in `B`: every
+/// accumulator starts at `+0.0`, round-to-nearest `+0 + ±0` is `+0`, so
+/// no accumulator is ever `-0.0` and adding `±0 · b` for a finite `b`
+/// leaves it unchanged. So [`Matrix::matmul_into`] runs the branch-free
+/// sweep whenever `B` is finite, at both tiers. Either way this is the
+/// portable twin of the AVX2 tile in [`crate::simd`], which must
+/// reproduce its bits.
 #[inline]
 pub(crate) fn packed_block_kernel<const SKIP_ZEROS: bool>(
     a_block: &[f32],
@@ -168,6 +172,13 @@ fn pack_panels(
     structmine_store::obs::counter_add("linalg.pack_panels", panels);
 }
 
+/// Whether every value is finite (no inf, no NaN): the condition under
+/// which the Exact tier's zero skip cannot change a bit. A fold rather
+/// than a short-circuit, so it vectorizes.
+fn all_finite(values: &[f32]) -> bool {
+    values.iter().fold(true, |all, v| all & v.is_finite())
+}
+
 /// Pack `b` as the logical right operand `B` (`k x n`), or, when
 /// `transposed`, pack `b` (`n x k`) as `Bᵀ`. Transposed packing
 /// interleaves `NR` rows of `b` per panel, so the micro-kernel reads one
@@ -239,6 +250,9 @@ pub struct PackedMatrix {
     transposed: bool,
     /// The `NR`-column panels, each `k * w` floats, concatenated.
     panels: Vec<f32>,
+    /// Whether every value is finite, recorded at pack time: then the
+    /// Exact tier's zero skip cannot change a bit and is not run.
+    finite: bool,
     /// Stable content hash of (orientation, source matrix).
     fingerprint: u128,
 }
@@ -272,6 +286,7 @@ impl PackedMatrix {
             k,
             n,
             transposed,
+            finite: all_finite(&panels),
             panels,
             fingerprint: Self::fingerprint_of(rhs, transposed),
         }
@@ -481,9 +496,11 @@ impl Matrix {
     /// (fully overwritten; prior contents are irrelevant) — the one entry
     /// point every product goes through. The policy's thread count splits
     /// the output rows; its [`Precision`](crate::Precision) picks the
-    /// kernel: Exact keeps the `a == 0.0` skip and is bitwise reproducible,
-    /// Fast runs the branch-free sweep, which is *not* bit-compatible with
-    /// Exact (training never asks for it). Both tiers run the
+    /// kernel: Exact skips terms with a zero left-hand factor wherever that
+    /// can change a bit, that is where the right operand holds an inf or a
+    /// NaN, and runs the branch-free tile otherwise; Fast always runs the
+    /// branch-free tile, so a zero meeting inf or NaN gives NaN there
+    /// (training never asks for Fast). Both tiers run the
     /// runtime-dispatched tile of [`crate::simd`], whose bits equal the
     /// portable kernel's on every host.
     ///
@@ -505,7 +522,9 @@ impl Matrix {
         }
     }
 
-    /// [`Matrix::matmul_into`] at one tier; `EXACT` is the `a == 0.0` skip.
+    /// [`Matrix::matmul_into`] at one tier. `EXACT` asks for the `a == 0.0`
+    /// skip; the packed kernel runs it only for a right operand with an inf
+    /// or a NaN, known once per pack. The small-row fallbacks keep it.
     fn tier_product<const EXACT: bool>(
         &self,
         rhs: Rhs<'_>,
@@ -519,10 +538,15 @@ impl Matrix {
             self.rows, self.cols, k, n
         );
         assert_eq!(out.shape(), (self.rows, n), "matmul output shape mismatch");
-        let packed_product = |panels: &[f32], out: &mut [f32]| {
+        let packed_product = |panels: &[f32], finite: bool, out: &mut [f32]| {
+            let skip_zeros = EXACT && !finite;
             Self::fill_row_blocks(policy, self.rows, n, out, |start, block| {
                 let a_block = &self.data[start * k..(start + block.len() / n) * k];
-                crate::simd::block_kernel::<EXACT>(a_block, k, panels, n, block);
+                if skip_zeros {
+                    crate::simd::block_kernel::<true>(a_block, k, panels, n, block);
+                } else {
+                    crate::simd::block_kernel::<false>(a_block, k, panels, n, block);
+                }
             });
         };
         match rhs {
@@ -533,13 +557,15 @@ impl Matrix {
                     // +0.0 the per-call fallback writes).
                     out.data.fill(0.0);
                 } else {
-                    packed_product(&packed.panels, &mut out.data);
+                    packed_product(&packed.panels, packed.finite, &mut out.data);
                 }
             }
             Rhs::Dense(b) | Rhs::DenseT(b) if self.rows >= PACK_MIN_ROWS && k > 0 && n > 0 => {
                 with_pack_scratch(|panels| {
                     pack_dense(panels, b, matches!(rhs, Rhs::DenseT(_)));
-                    packed_product(panels, &mut out.data);
+                    // Fast never skips, so only Exact reads the flag.
+                    let finite = !EXACT || all_finite(panels);
+                    packed_product(panels, finite, &mut out.data);
                 });
             }
             // Too few rows to amortize packing: i-k-j loops straight over
@@ -1082,7 +1108,10 @@ mod tests {
         /// and stale output contents are fully overwritten (the arena reuse
         /// contract). Shapes cover the small-row fallback, the packed
         /// kernel, ragged last panels and (above 64 rows) the parallel
-        /// executor; zeros in the left operand exercise the Exact skip.
+        /// executor. Zeros of both signs in the left operand meet a finite
+        /// right operand, where the Exact tier runs the branch-free tile:
+        /// its bits must still equal the skip kernel's, and so the Fast
+        /// tier's.
         #[test]
         fn matmul_bits_depend_only_on_tier(
             m in 1usize..80,
@@ -1092,11 +1121,15 @@ mod tests {
             b_pool in proptest::collection::vec(-10.0f32..10.0, 48 * 48),
         ) {
             let mut a_data = a_pool[..m * k].to_vec();
-            for v in a_data.iter_mut().step_by(5) {
-                *v = 0.0;
+            for (i, v) in a_data.iter_mut().step_by(5).enumerate() {
+                *v = if i % 2 == 0 { 0.0 } else { -0.0 };
             }
             let a = Matrix::from_vec(m, k, a_data);
             let b = Matrix::from_vec(k, n, b_pool[..k * n].to_vec());
+            let mut panels = Vec::new();
+            pack_dense(&mut panels, &b, false);
+            let mut skip_reference = vec![0.0; m * n];
+            packed_block_kernel::<true>(a.data(), k, &panels, n, &mut skip_reference);
             let bt = b.transpose();
             let packed = PackedMatrix::pack(&b);
             let packed_t = PackedMatrix::pack_transposed(&bt);
@@ -1112,6 +1145,9 @@ mod tests {
                 let serial = crate::ExecPolicy::serial().with_precision(precision);
                 let mut reference = Matrix::zeros(m, n);
                 a.matmul_into(Rhs::Dense(&b), &serial, &mut reference);
+                for (x, y) in skip_reference.iter().zip(reference.data()) {
+                    prop_assert_eq!(x.to_bits(), y.to_bits(), "{} vs the skip kernel", precision);
+                }
                 for threads in [1usize, 4] {
                     let policy = crate::ExecPolicy::with_threads(threads).with_precision(precision);
                     for (form, rhs) in forms.iter().enumerate() {
@@ -1123,6 +1159,55 @@ mod tests {
                                 y.to_bits(),
                                 "{} form {} threads {}", precision, form, threads
                             );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Where the zero skip can change a bit, Exact runs it through every
+    /// operand form: a zero left value meeting +inf, -inf or NaN in the
+    /// right operand contributes nothing, on the packed kernel (8 or more
+    /// left rows, per-call pack or prepack) and on the small-row fallback,
+    /// while Fast multiplies it through to NaN. This fails if Exact ever
+    /// takes the branch-free tile for a non-finite right operand.
+    #[test]
+    fn exact_skips_zeros_against_non_finite_operands_in_every_form() {
+        let mut rng = crate::rng::seeded(47);
+        for &(m, k, n) in &[(3usize, 6usize, 5usize), (12, 9, 11), (70, 16, 24)] {
+            let mut a = gaussian_matrix(m, k, &mut rng);
+            let mut b = gaussian_matrix(k, n, &mut rng);
+            for i in 0..m {
+                a.row_mut(i)[0] = if i % 2 == 0 { 0.0 } else { -0.0 };
+            }
+            b.row_mut(0)[..3].copy_from_slice(&[f32::INFINITY, f32::NEG_INFINITY, f32::NAN]);
+            let bt = b.transpose();
+            let packed = PackedMatrix::pack(&b);
+            let packed_t = PackedMatrix::pack_transposed(&bt);
+            let forms = [
+                ("dense", Rhs::Dense(&b)),
+                ("dense_t", Rhs::DenseT(&bt)),
+                ("packed", Rhs::Packed(&packed)),
+                ("packed_t", Rhs::Packed(&packed_t)),
+            ];
+            for (form, rhs) in forms {
+                for precision in [crate::Precision::Exact, crate::Precision::Fast] {
+                    let policy = crate::ExecPolicy::serial().with_precision(precision);
+                    let mut out = Matrix::zeros(m, n);
+                    a.matmul_into(rhs, &policy, &mut out);
+                    for i in 0..m {
+                        for j in 0..3 {
+                            let v = out.get(i, j);
+                            match precision {
+                                crate::Precision::Exact => assert!(
+                                    v.is_finite(),
+                                    "{m}x{k}x{n} {form}: exact ({i},{j}) = {v}"
+                                ),
+                                crate::Precision::Fast => {
+                                    assert!(v.is_nan(), "{m}x{k}x{n} {form}: fast ({i},{j}) = {v}")
+                                }
+                            }
                         }
                     }
                 }

@@ -1,5 +1,6 @@
 //! Runtime-dispatched SIMD micro-kernels: one AVX2 matmul tile for both
-//! precision tiers, and SSE2 row passes for the Fast tier.
+//! precision tiers, the Exact tier's AVX2 `tanh` pass, and SSE2 row
+//! passes for the Fast tier.
 //!
 //! Every kernel here has two implementations with identical arithmetic
 //! structure: an explicit `std::arch::x86_64` version and the portable
@@ -12,11 +13,17 @@
 //!   of [`Matrix::matmul_into`], at both tiers. It holds one 8-lane AVX2
 //!   accumulator per output row of the `MR x NR` tile and issues
 //!   `vmulps` then `vaddps` (never FMA), each rounding exactly like the
-//!   scalar `a * b` then `+=`. The Exact tier's `a == 0.0` skip is the
-//!   same scalar branch per row. So every output element is the same
-//!   ascending-`k` chain of identically rounded operations as in the
-//!   portable twin (`matrix::packed_block_kernel`), and both tiers' bits
-//!   are the portable kernel's. Hosts without AVX2 run the twin.
+//!   scalar `a * b` then `+=`. The `a == 0.0` skip instantiation is the
+//!   same scalar branch per row; the Exact tier runs it only for a right
+//!   operand holding an inf or a NaN, the one case where it changes a bit.
+//!   So every output element is the same ascending-`k` chain of
+//!   identically rounded operations as in the portable twin
+//!   (`matrix::packed_block_kernel`), and both tiers' bits are the
+//!   portable kernel's. Hosts without AVX2 run the twin.
+//! * **The Exact `tanh` pass** (`exact_tanh_slice`) runs the scalar port
+//!   of glibc's `tanhf` ([`crate::exactmath`]) on eight AVX2 lanes, with
+//!   every branch of its `expm1f` computed and blended per lane; the same
+//!   bits as the scalar port on all 2^32 inputs.
 //! * **The row passes** (`tanh`, `exp`, softmax, LayerNorm) serve only
 //!   the Fast tier and stay four SSE2 lanes wide. `tanh`/`exp` agree with
 //!   their scalar twins bitwise for finite inputs (same operation order;
@@ -28,8 +35,8 @@
 //!
 //! [`Matrix::matmul_into`]: crate::Matrix::matmul_into
 
-use crate::fastmath;
 use crate::matrix::{packed_block_kernel, MR, NR};
+use crate::{exactmath, fastmath};
 
 /// Whether the SSE2 row passes are taken on this machine. `true` on every
 /// x86-64 (SSE2 is the architecture baseline), `false` elsewhere; public
@@ -46,8 +53,9 @@ pub fn sse2_available() -> bool {
     }
 }
 
-/// Whether the AVX2 matmul tile is taken on this machine (the portable
-/// twin runs otherwise); public so tests can name the path they checked.
+/// Whether the AVX2 matmul tile and Exact `tanh` pass are taken on this
+/// machine (the portable twins run otherwise); public so tests can name
+/// the path they checked.
 #[inline]
 pub fn avx2_available() -> bool {
     #[cfg(target_arch = "x86_64")]
@@ -62,8 +70,9 @@ pub fn avx2_available() -> bool {
 
 // ------------------------------------------------------------- matmul tile
 
-/// The packed block kernel at one tier (`SKIP_ZEROS` is the Exact
-/// tier's `a == 0.0` skip): `out = a_block * B` for `rows = a_block.len()
+/// The packed block kernel, with or without the `a == 0.0` skip
+/// (`SKIP_ZEROS`, which the Exact tier asks for only when `B` holds an
+/// inf or a NaN): `out = a_block * B` for `rows = a_block.len()
 /// / k` left-hand rows and `B` (`k x n`) packed in `NR`-column panels.
 /// Runtime dispatch between the AVX2 tile and the portable twin
 /// [`packed_block_kernel`]; both give the same bits. The only caller is
@@ -169,6 +178,221 @@ pub(crate) unsafe fn block_kernel_avx2<const SKIP_ZEROS: bool>(
         panel_start += k * w;
         j0 += w;
     }
+}
+
+// ------------------------------------------------------------- exact tanh
+
+/// Apply [`exactmath::tanh`] over a slice in place: the Exact tier's one
+/// `tanh`. Eight AVX2 lanes at a time where available, the scalar twin
+/// elsewhere, for the tail, and for any 8-element chunk with a lane
+/// outside `2^-55 <= |x| < 22` (±0, tiny and saturated values, inf and
+/// NaN). Bitwise equal to the scalar loop for every input: each lane runs
+/// the scalar port's operations in its order.
+#[inline]
+pub fn exact_tanh_slice(xs: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if avx2_available() {
+        // SAFETY: AVX2 verified at runtime.
+        unsafe { exact_tanh_slice_avx2(xs) };
+        return;
+    }
+    exact_tanh_slice_scalar(xs);
+}
+
+/// Scalar twin of [`exact_tanh_slice`]: the portable fallback, public like
+/// the other twins so tests and benches can name the path they run.
+#[inline]
+pub fn exact_tanh_slice_scalar(xs: &mut [f32]) {
+    for x in xs {
+        *x = exactmath::tanh(*x);
+    }
+}
+
+/// The AVX2 body of [`exact_tanh_slice`]: per lane, `t = expm1(±2|x|)`
+/// (see [`expm1_avx2`]), then `z = 1 - 2/(t+2)` for `|x| >= 1` and
+/// `z = -t/(t+2)` below, then `x`'s sign. One division of the blended
+/// numerator serves both cases: `-t` rounds like `t` negated and
+/// `1 - q` is the scalar subtraction.
+///
+/// # Safety
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn exact_tanh_slice_avx2(xs: &mut [f32]) {
+    use std::arch::x86_64::*;
+    let sign = _mm256_set1_epi32(i32::MIN);
+    let sign_ps = _mm256_castsi256_ps(sign);
+    let one = _mm256_set1_ps(1.0);
+    let two = _mm256_set1_ps(2.0);
+    let below_tiny = _mm256_set1_epi32(exactmath::TANH_TINY_BITS as i32 - 1);
+    let saturate = _mm256_set1_epi32(exactmath::TANH_SATURATE_BITS as i32);
+    let below_one = _mm256_set1_epi32(0x3f7f_ffff);
+    let mut chunks = xs.chunks_exact_mut(8);
+    for c in &mut chunks {
+        let x = _mm256_loadu_ps(c.as_ptr());
+        let ix = _mm256_andnot_si256(sign, _mm256_castps_si256(x));
+        let in_range = _mm256_and_si256(
+            _mm256_cmpgt_epi32(ix, below_tiny),
+            _mm256_cmpgt_epi32(saturate, ix),
+        );
+        if _mm256_movemask_ps(_mm256_castsi256_ps(in_range)) != 0xff {
+            exact_tanh_slice_scalar(c);
+            continue;
+        }
+        // |x| >= 1: t = expm1(2|x|); below: t = expm1(-2|x|).
+        let ge1 = _mm256_castsi256_ps(_mm256_cmpgt_epi32(ix, below_one));
+        let two_ax = _mm256_mul_ps(two, _mm256_castsi256_ps(ix));
+        let t = expm1_avx2(_mm256_xor_ps(two_ax, _mm256_andnot_ps(ge1, sign_ps)));
+        let q = _mm256_div_ps(
+            _mm256_blendv_ps(_mm256_xor_ps(t, sign_ps), two, ge1),
+            _mm256_add_ps(t, two),
+        );
+        let z = _mm256_blendv_ps(q, _mm256_sub_ps(one, q), ge1);
+        let y = _mm256_xor_ps(z, _mm256_and_ps(x, sign_ps));
+        _mm256_storeu_ps(c.as_mut_ptr(), y);
+    }
+    exact_tanh_slice_scalar(chunks.into_remainder());
+}
+
+/// [`exactmath::expm1`] on eight lanes, for the arguments
+/// [`exact_tanh_slice_avx2`] passes (`2^-54 <= |x| < 44`), where its
+/// huge-argument filter never fires. `k` is reduced as in the scalar
+/// port (`±1` near `ln2`, `0` below `ln2 / 2`, where `k = 0` leaves
+/// `r = x` and `c = 0` exactly). Every reconstruction branch (`k` = 0,
+/// -1, 1, `<= -2` or `> 56`, 2..22, 23..56) is computed on every lane
+/// and blended by `k`; lanes with `|x| < 2^-25` return `x`.
+///
+/// # Safety
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn expm1_avx2(x: std::arch::x86_64::__m256) -> std::arch::x86_64::__m256 {
+    use exactmath::{INVLN2, LN2_HI, LN2_LO, Q1, Q2, Q3, Q4, Q5};
+    use std::arch::x86_64::*;
+    let bits = _mm256_castps_si256(x);
+    let negative = _mm256_srai_epi32(bits, 31);
+    let hx = _mm256_andnot_si256(_mm256_set1_epi32(i32::MIN), bits);
+
+    // Argument reduction: x = k ln2 + r, with c the rounding error of r.
+    let reduce = _mm256_cmpgt_epi32(hx, _mm256_set1_epi32(0x3eb1_7218));
+    let near = _mm256_cmpgt_epi32(_mm256_set1_epi32(0x3f85_1592), hx);
+    let half = _mm256_xor_ps(_mm256_set1_ps(0.5), _mm256_and_ps(x, _mm256_set1_ps(-0.0)));
+    let k_far = _mm256_cvttps_epi32(_mm256_add_ps(
+        _mm256_mul_ps(_mm256_set1_ps(INVLN2), x),
+        half,
+    ));
+    let k_near = _mm256_or_si256(negative, _mm256_set1_epi32(1));
+    let k = _mm256_and_si256(reduce, _mm256_blendv_epi8(k_far, k_near, near));
+    let tk = _mm256_cvtepi32_ps(k);
+    let hi = _mm256_sub_ps(x, _mm256_mul_ps(tk, _mm256_set1_ps(LN2_HI)));
+    let lo = _mm256_mul_ps(tk, _mm256_set1_ps(LN2_LO));
+    let r = _mm256_sub_ps(hi, lo);
+    let c = _mm256_sub_ps(_mm256_sub_ps(hi, r), lo);
+
+    // The rational remainder on the primary range.
+    let hfx = _mm256_mul_ps(_mm256_set1_ps(0.5), r);
+    let hxs = _mm256_mul_ps(r, hfx);
+    let poly = _mm256_add_ps(_mm256_set1_ps(Q4), _mm256_mul_ps(hxs, _mm256_set1_ps(Q5)));
+    let poly = _mm256_add_ps(_mm256_set1_ps(Q3), _mm256_mul_ps(hxs, poly));
+    let poly = _mm256_add_ps(_mm256_set1_ps(Q2), _mm256_mul_ps(hxs, poly));
+    let poly = _mm256_add_ps(_mm256_set1_ps(Q1), _mm256_mul_ps(hxs, poly));
+    let r1 = _mm256_add_ps(_mm256_set1_ps(1.0), _mm256_mul_ps(hxs, poly));
+    let t = _mm256_sub_ps(_mm256_set1_ps(3.0), _mm256_mul_ps(r1, hfx));
+    let e = _mm256_mul_ps(
+        hxs,
+        _mm256_div_ps(
+            _mm256_sub_ps(r1, t),
+            _mm256_sub_ps(_mm256_set1_ps(6.0), _mm256_mul_ps(r, t)),
+        ),
+    );
+    let k0 = _mm256_sub_ps(r, _mm256_sub_ps(_mm256_mul_ps(r, e), hxs));
+
+    // Reconstruction for k != 0.
+    let e = _mm256_sub_ps(_mm256_sub_ps(_mm256_mul_ps(r, _mm256_sub_ps(e, c)), c), hxs);
+    let e_minus_r = _mm256_sub_ps(e, r);
+    let k_minus1 = _mm256_sub_ps(
+        _mm256_mul_ps(_mm256_set1_ps(0.5), _mm256_sub_ps(r, e)),
+        _mm256_set1_ps(0.5),
+    );
+    let k_plus1 = _mm256_blendv_ps(
+        _mm256_add_ps(
+            _mm256_set1_ps(1.0),
+            _mm256_mul_ps(_mm256_set1_ps(2.0), _mm256_sub_ps(r, e)),
+        ),
+        _mm256_mul_ps(
+            _mm256_set1_ps(-2.0),
+            _mm256_sub_ps(e, _mm256_add_ps(r, _mm256_set1_ps(0.5))),
+        ),
+        _mm256_cmp_ps::<_CMP_LT_OQ>(r, _mm256_set1_ps(-0.25)),
+    );
+    let k_far_out = _mm256_sub_ps(
+        add_to_exponent_avx2(_mm256_sub_ps(_mm256_set1_ps(1.0), e_minus_r), k),
+        _mm256_set1_ps(1.0),
+    );
+    // t = 1 - 2^-k
+    let one_minus = _mm256_castsi256_ps(_mm256_sub_epi32(
+        _mm256_set1_epi32(0x3f80_0000),
+        _mm256_srlv_epi32(_mm256_set1_epi32(0x0100_0000), k),
+    ));
+    let k_low = add_to_exponent_avx2(_mm256_sub_ps(one_minus, e_minus_r), k);
+    // t = 2^-k
+    let two_minus_k = _mm256_castsi256_ps(_mm256_slli_epi32(
+        _mm256_sub_epi32(_mm256_set1_epi32(0x7f), k),
+        23,
+    ));
+    let k_high = add_to_exponent_avx2(
+        _mm256_add_ps(
+            _mm256_sub_ps(r, _mm256_add_ps(e, two_minus_k)),
+            _mm256_set1_ps(1.0),
+        ),
+        k,
+    );
+
+    let far_k = _mm256_or_si256(
+        _mm256_cmpgt_epi32(_mm256_set1_epi32(-1), k),
+        _mm256_cmpgt_epi32(k, _mm256_set1_epi32(56)),
+    );
+    let mut y = _mm256_blendv_ps(
+        k_high,
+        k_low,
+        _mm256_castsi256_ps(_mm256_cmpgt_epi32(_mm256_set1_epi32(23), k)),
+    );
+    y = _mm256_blendv_ps(y, k_far_out, _mm256_castsi256_ps(far_k));
+    y = _mm256_blendv_ps(
+        y,
+        k_plus1,
+        _mm256_castsi256_ps(_mm256_cmpeq_epi32(k, _mm256_set1_epi32(1))),
+    );
+    y = _mm256_blendv_ps(
+        y,
+        k_minus1,
+        _mm256_castsi256_ps(_mm256_cmpeq_epi32(k, _mm256_set1_epi32(-1))),
+    );
+    y = _mm256_blendv_ps(
+        y,
+        k0,
+        _mm256_castsi256_ps(_mm256_cmpeq_epi32(k, _mm256_set1_epi32(0))),
+    );
+    // |x| < 2^-25: x itself.
+    let tiny = _mm256_cmpgt_epi32(_mm256_set1_epi32(0x3300_0000), hx);
+    _mm256_blendv_ps(y, x, _mm256_castsi256_ps(tiny))
+}
+
+/// `y * 2^k` per lane by adding `k` to the exponent field, like the
+/// scalar port's `add_to_exponent`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn add_to_exponent_avx2(
+    y: std::arch::x86_64::__m256,
+    k: std::arch::x86_64::__m256i,
+) -> std::arch::x86_64::__m256 {
+    use std::arch::x86_64::*;
+    _mm256_castsi256_ps(_mm256_add_epi32(
+        _mm256_castps_si256(y),
+        _mm256_slli_epi32(k, 23),
+    ))
 }
 
 // -------------------------------------------------------- tanh / exp rows
@@ -509,6 +733,27 @@ mod tests {
     }
 
     proptest! {
+        /// The Exact tanh slice pass equals its scalar twin bit for bit on
+        /// chunks that mix in-range lanes with raw bit patterns (±0, tiny,
+        /// saturated, inf, NaN: the chunk's scalar fallback), and on
+        /// ragged tails. `tests/exact_tanh.rs` sweeps every input.
+        #[test]
+        fn exact_tanh_slice_matches_scalar_on_mixed_chunks(
+            bits in proptest::collection::vec(0u32..u32::MAX, 0..67)
+        ) {
+            let xs: Vec<f32> = bits
+                .iter()
+                .map(|&b| if b % 5 == 0 { f32::from_bits(b) } else { (b as f32 / u32::MAX as f32 - 0.5) * 50.0 })
+                .collect();
+            let mut simd = xs.clone();
+            let mut scalar = xs;
+            exact_tanh_slice(&mut simd);
+            exact_tanh_slice_scalar(&mut scalar);
+            for (s, c) in simd.iter().zip(&scalar) {
+                prop_assert_eq!(s.to_bits(), c.to_bits());
+            }
+        }
+
         /// The dispatched tanh slice pass agrees with the scalar twin
         /// bitwise for finite inputs — same clamp, same polynomial, same
         /// rounding — so either path passes the fastmath error-bound

@@ -159,8 +159,10 @@ struct Node {
 /// A tape of matrix operations supporting reverse-mode differentiation.
 ///
 /// The tape carries a [`Precision`] chosen at construction: Exact tapes
-/// (the default, and the only kind training ever builds) use libm
-/// transcendentals and the bit-reproducible matmul kernels; Fast tapes
+/// (the default, and the only kind training ever builds) use libm's
+/// `exp`, the bit-exact port of libm's `tanhf`
+/// ([`structmine_linalg::exactmath`]) and the bit-reproducible matmul
+/// kernels; Fast tapes
 /// swap in the [`structmine_linalg::fastmath`] approximations, the fused
 /// no-cache GELU, and the branch-free matmul path. Backward passes are
 /// only supported on Exact tapes.
@@ -388,49 +390,45 @@ impl Graph {
         self.push(v, Op::Relu(a))
     }
 
-    /// GELU (tanh approximation). The inner tanh of each element is cached
-    /// on the op and reused by the backward pass, halving the number of
-    /// tanh evaluations per training step without changing any bit of the
-    /// result.
+    /// GELU (tanh approximation). The inner term of each element goes
+    /// through the tier's slice `tanh` in place: Exact keeps the result as
+    /// the op's cached tanh, reused by the backward pass (one tanh per
+    /// element per training step, and the same bits as libm's `tanhf`);
+    /// Fast finishes the output in the same buffer.
     pub fn gelu(&mut self, a: NodeId) -> NodeId {
+        let va = &self.nodes[a.0].value;
+        let mut t = arena::take_uninit(va.rows(), va.cols());
+        for (t, &x) in t.data_mut().iter_mut().zip(va.data()) {
+            *t = GELU_C * (x + 0.044715 * x * x * x);
+        }
         if self.precision == Precision::Fast {
-            // Fused fast forward: polynomial tanh, no cached matrix to
-            // fill (inference tapes never differentiate, so caching the
-            // inner tanh is one full matrix write of pure overhead). The
-            // inner term goes through the output buffer so the SIMD tanh
-            // pass runs over it in place — bitwise the scalar
-            // `fast_tanh` per element for finite inputs.
-            let va = &self.nodes[a.0].value;
-            let mut v = arena::take_uninit(va.rows(), va.cols());
-            for (o, &x) in v.data_mut().iter_mut().zip(va.data()) {
-                *o = GELU_C * (x + 0.044715 * x * x * x);
-            }
-            simd::fast_tanh_slice(v.data_mut());
-            for (o, &x) in v.data_mut().iter_mut().zip(va.data()) {
+            // Polynomial tanh, no cached matrix (inference tapes never
+            // differentiate, so caching the inner tanh would be one full
+            // matrix write of pure overhead). The SIMD pass is bitwise the
+            // scalar `fast_tanh` per element for finite inputs.
+            simd::fast_tanh_slice(t.data_mut());
+            for (o, &x) in t.data_mut().iter_mut().zip(va.data()) {
                 *o = 0.5 * x * (1.0 + *o);
             }
-            return self.push(v, Op::GeluFast(a));
+            return self.push(t, Op::GeluFast(a));
         }
-        let va = &self.nodes[a.0].value;
+        simd::exact_tanh_slice(t.data_mut());
         let mut v = arena::take_uninit(va.rows(), va.cols());
-        let mut cached_t = arena::take_uninit(va.rows(), va.cols());
-        for ((o, t), &x) in v
-            .data_mut()
-            .iter_mut()
-            .zip(cached_t.data_mut().iter_mut())
-            .zip(va.data())
-        {
-            let tanh = (GELU_C * (x + 0.044715 * x * x * x)).tanh();
-            *t = tanh;
-            *o = 0.5 * x * (1.0 + tanh);
+        for ((o, &t), &x) in v.data_mut().iter_mut().zip(t.data()).zip(va.data()) {
+            *o = 0.5 * x * (1.0 + t);
         }
-        self.push(v, Op::Gelu(a, cached_t))
+        self.push(v, Op::Gelu(a, t))
     }
 
-    /// tanh.
+    /// tanh: the Exact tier's slice pass (libm `tanhf`'s bits), or the Fast
+    /// tier's polynomial.
     pub fn tanh(&mut self, a: NodeId) -> NodeId {
         let v = match self.precision {
-            Precision::Exact => self.map_unary(a, f32::tanh),
+            Precision::Exact => {
+                let mut v = arena::take_copy(&self.nodes[a.0].value);
+                simd::exact_tanh_slice(v.data_mut());
+                v
+            }
             Precision::Fast => self.map_unary(a, fastmath::fast_tanh),
         };
         self.push(v, Op::Tanh(a))

@@ -303,6 +303,7 @@ pub fn env_active() -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn parses_the_documented_example() {
@@ -428,6 +429,104 @@ mod tests {
             wb.push(b.before_write(Path::new("w")).is_err());
         }
         assert_eq!(wa, wb, "inactive read checks must not perturb the stream");
+    }
+
+    /// Pieces of the plan syntax: every key, the separators, and values
+    /// that parse, fail to parse, overflow or fall out of range.
+    const FRAGMENTS: &[&str] = &[
+        "disk_write",
+        "disk_read",
+        "truncate",
+        "kill_after_writes",
+        "kill_worker",
+        "seed",
+        "=",
+        ",",
+        ";",
+        "@",
+        "@after_writes=",
+        " ",
+        "\t",
+        "0",
+        "1",
+        "0.25",
+        "-0",
+        "1.5",
+        "-1",
+        "1e-3",
+        "1e400",
+        "NaN",
+        "inf",
+        "18446744073709551615",
+        "18446744073709551616",
+        "0x10",
+        "é",
+        "\u{0}",
+    ];
+
+    /// The fail-closed contract for one input: `parse` returns a plan or a
+    /// typed error with a message (a panic fails the test), and a plan it
+    /// accepts renders back to a string that parses to the same plan.
+    fn assert_fails_closed(s: &str) {
+        match FaultPlan::parse(s) {
+            Ok(plan) => assert_eq!(
+                FaultPlan::parse(&plan.to_plan_string()),
+                Ok(plan),
+                "{s:?} does not round-trip"
+            ),
+            Err(e) => assert!(!e.to_string().is_empty(), "{s:?}: {e:?}"),
+        }
+    }
+
+    proptest! {
+        /// Strings over the plan syntax's own characters.
+        #[test]
+        fn parse_fails_closed_on_the_plan_alphabet(s in "[a-z_=;,@0-9.+ -]{0,48}") {
+            assert_fails_closed(&s);
+        }
+
+        /// Strings assembled from plan fragments, so whole entries, near
+        /// misses and edge values all occur.
+        #[test]
+        fn parse_fails_closed_on_fragment_strings(
+            picks in proptest::collection::vec(0usize..FRAGMENTS.len(), 0..24)
+        ) {
+            let s: String = picks.iter().map(|&i| FRAGMENTS[i]).collect();
+            assert_fails_closed(&s);
+        }
+
+        /// Arbitrary bytes, decoded as the environment variable would be.
+        #[test]
+        fn parse_fails_closed_on_arbitrary_bytes(
+            bytes in proptest::collection::vec(0u16..256, 0..64)
+        ) {
+            let bytes: Vec<u8> = bytes.iter().map(|&b| b as u8).collect();
+            assert_fails_closed(&String::from_utf8_lossy(&bytes));
+        }
+
+        /// Every valid plan, including boundary probabilities and the
+        /// largest counts, round-trips through `to_plan_string`.
+        #[test]
+        fn every_valid_plan_round_trips(
+            probs in proptest::collection::vec(0.0f64..1.0, 3),
+            picks in proptest::collection::vec(0u64..4, 6),
+            counts in proptest::collection::vec(0u64..u64::MAX, 4),
+        ) {
+            let p = |i: usize| match picks[i] {
+                0 => 0.0,
+                1 => 1.0,
+                _ => probs[i],
+            };
+            let plan = FaultPlan {
+                disk_write: p(0),
+                disk_read: p(1),
+                truncate: p(2),
+                kill_after_writes: (picks[3] > 1).then_some(counts[0]),
+                kill_worker: (picks[4] > 1).then_some((counts[1], counts[2])),
+                seed: if picks[5] == 0 { u64::MAX } else { counts[3] },
+            };
+            prop_assert_eq!(FaultPlan::parse(&plan.to_plan_string()), Ok(plan));
+        }
     }
 
     #[test]
