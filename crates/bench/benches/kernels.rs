@@ -6,11 +6,14 @@
 //! attention score product at standard tier (48-token sequence, d_head 12),
 //! "medium" is the tied MLM projection (hidden states against a vocab-sized
 //! table). The `served_*` cases are the four Test-tier block products a
-//! served encode runs on prepacked weights, at both tiers. The
-//! `tanh_gelu` group times the Exact tier's `tanh` pass against the libm
-//! loop it replaced, and the GELU op at both tiers, on the Test-tier FFN
-//! activation (32 rows, d_ff 64). Run with `cargo bench --bench kernels`;
-//! CI compiles it via `cargo bench --no-run`.
+//! served encode runs on prepacked weights (one kernel for both tiers).
+//! The `tanh_gelu` group times the Exact tier's `tanh` pass against the
+//! libm loop it replaced, and the GELU op at both tiers, on the Test-tier
+//! FFN activation (32 rows, d_ff 64). The `softmax_exp` group times the
+//! `exp` pass against the libm loop it replaced on softmax-shaped inputs,
+//! and `stats::softmax_rows` against a per-row libm softmax on attention
+//! shapes. Run with `cargo bench --bench kernels`; CI compiles it via
+//! `cargo bench --no-run`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use structmine_linalg::{rng, ExecPolicy, Matrix, Precision, Rhs};
@@ -75,12 +78,11 @@ fn bench_kernels(c: &mut Criterion) {
     });
 
     // One matmul into a caller buffer: isolates the allocation saving.
-    let exact = ExecPolicy::global().with_precision(Precision::Exact);
-    let fast = exact.with_precision(Precision::Fast);
+    let policy = ExecPolicy::global();
     let mut out = Matrix::zeros(a_med.rows(), b_med.cols());
     group.bench_function("blocked_medium_into", |b| {
         b.iter(|| {
-            a_med.matmul_into(Rhs::Dense(&b_med), &exact, &mut out);
+            a_med.matmul_into(Rhs::Dense(&b_med), policy, &mut out);
             black_box(out.get(0, 0))
         })
     });
@@ -92,15 +94,7 @@ fn bench_kernels(c: &mut Criterion) {
     let packed_med = structmine_linalg::PackedMatrix::pack(&b_med);
     group.bench_function("prepacked_medium_into", |b| {
         b.iter(|| {
-            a_med.matmul_into(Rhs::Packed(&packed_med), &exact, &mut out);
-            black_box(out.get(0, 0))
-        })
-    });
-    // Fast-tier twin: the same runtime-dispatched tile without the
-    // sparse-row skip.
-    group.bench_function("prepacked_fast_medium_into", |b| {
-        b.iter(|| {
-            a_med.matmul_into(Rhs::Packed(&packed_med), &fast, &mut out);
+            a_med.matmul_into(Rhs::Packed(&packed_med), policy, &mut out);
             black_box(out.get(0, 0))
         })
     });
@@ -111,7 +105,7 @@ fn bench_kernels(c: &mut Criterion) {
     });
 
     // The Test-tier block products a served encode runs (32 rows,
-    // d_model 32, d_ff 64), each on prepacked weights at both tiers.
+    // d_model 32, d_ff 64), each on prepacked weights.
     for (name, k, n) in [
         ("qkv", 32, 96),
         ("attn_out", 32, 32),
@@ -121,14 +115,12 @@ fn bench_kernels(c: &mut Criterion) {
         let a = random_matrix(32, k, 7);
         let packed = structmine_linalg::PackedMatrix::pack(&random_matrix(k, n, 8));
         let mut out = Matrix::zeros(32, n);
-        for (tier, policy) in [("exact", &exact), ("fast", &fast)] {
-            group.bench_function(&format!("served_{name}_32x{k}x{n}_{tier}"), |b| {
-                b.iter(|| {
-                    a.matmul_into(Rhs::Packed(&packed), policy, &mut out);
-                    black_box(out.get(0, 0))
-                })
-            });
-        }
+        group.bench_function(&format!("served_{name}_32x{k}x{n}"), |b| {
+            b.iter(|| {
+                a.matmul_into(Rhs::Packed(&packed), policy, &mut out);
+                black_box(out.get(0, 0))
+            })
+        });
     }
     group.finish();
 }
@@ -183,6 +175,74 @@ fn bench_tanh_gelu(c: &mut Criterion) {
     group.finish();
 }
 
+/// The `exp` pass (AVX2+FMA and its scalar twin) against a libm
+/// `f32::exp` loop on 2048 softmax-shaped inputs (`x <= 0`), then
+/// `stats::softmax_rows` against a per-row libm softmax on the attention
+/// shapes of a 20- and a 32-token sequence.
+fn bench_softmax_exp(c: &mut Criterion) {
+    use structmine_linalg::{simd, stats};
+
+    let mut group = c.benchmark_group("softmax_exp");
+    group.sample_size(20);
+    group.measurement_time(std::time::Duration::from_secs(3));
+    group.warm_up_time(std::time::Duration::from_millis(500));
+
+    let inputs: Vec<f32> = random_matrix(1, 2048, 10)
+        .data()
+        .iter()
+        .map(|v| -8.0 * v.abs())
+        .collect();
+    let mut buf = inputs.clone();
+    type SlicePass = fn(&mut [f32]);
+    let passes: [(&str, SlicePass); 3] = [
+        ("exp_libm_2048", |xs| {
+            xs.iter_mut().for_each(|v| *v = v.exp())
+        }),
+        ("exp_exact_slice_2048", simd::exact_exp_slice),
+        ("exp_exact_scalar_2048", simd::exact_exp_slice_scalar),
+    ];
+    for (name, pass) in passes {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                buf.copy_from_slice(&inputs);
+                pass(&mut buf);
+                black_box(buf[0])
+            })
+        });
+    }
+    for n in [20usize, 32] {
+        let scores = random_matrix(n, n, 11).scale(3.0);
+        let mut m = scores.clone();
+        group.bench_function(&format!("softmax_libm_rows_{n}x{n}"), |b| {
+            b.iter(|| {
+                m.data_mut().copy_from_slice(scores.data());
+                for i in 0..n {
+                    let row = m.row_mut(i);
+                    let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+                    let mut sum = 0.0f32;
+                    for v in row.iter_mut() {
+                        *v = (*v - max).exp();
+                        sum += *v;
+                    }
+                    if sum > 0.0 {
+                        let inv = 1.0 / sum;
+                        row.iter_mut().for_each(|v| *v *= inv);
+                    }
+                }
+                black_box(m.get(0, 0))
+            })
+        });
+        group.bench_function(&format!("softmax_rows_{n}x{n}"), |b| {
+            b.iter(|| {
+                m.data_mut().copy_from_slice(scores.data());
+                stats::softmax_rows(m.data_mut(), n);
+                black_box(m.get(0, 0))
+            })
+        });
+    }
+    group.finish();
+}
+
 /// A training-shaped forward/backward step (matmul -> gelu -> fused
 /// scaled softmax -> scalar) on a reused tape: measures the arena's
 /// steady-state, allocation-free path.
@@ -218,5 +278,11 @@ fn bench_graph_arena(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_kernels, bench_tanh_gelu, bench_graph_arena);
+criterion_group!(
+    benches,
+    bench_kernels,
+    bench_tanh_gelu,
+    bench_softmax_exp,
+    bench_graph_arena
+);
 criterion_main!(benches);

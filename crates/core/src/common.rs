@@ -120,9 +120,8 @@ pub fn test_slice(dataset: &Dataset, preds: &[usize]) -> Vec<usize> {
 
 /// Softmax rows of a score matrix in place and return it.
 pub fn softmax_rows(mut scores: Matrix) -> Matrix {
-    for i in 0..scores.rows() {
-        structmine_linalg::stats::softmax_inplace(scores.row_mut(i));
-    }
+    let cols = scores.cols();
+    structmine_linalg::stats::softmax_rows(scores.data_mut(), cols);
     scores
 }
 

@@ -1,17 +1,21 @@
-//! The Exact tier's `tanh`: a scalar port of glibc 2.36's `tanhf` and the
-//! `expm1f` it calls (`sysdeps/ieee754/flt-32/s_tanhf.c` and
-//! `s_expm1f.c`, both fdlibm code).
+//! The Exact tier's `tanh` and `exp`: scalar ports of glibc 2.36's
+//! `tanhf` and `expf`.
 //!
-//! Every operation is an IEEE `f32` add, subtract, multiply or divide, a
-//! truncating `f32 -> i32` conversion, or a move of exponent bits, in the
-//! C source's order and with no FMA. So [`tanh`] returns the bits of the
-//! libm the goldens were made with for every input, NaN payloads
-//! included; `crates/linalg/tests/exact_tanh.rs` checks all 2^32 inputs
-//! against `f32::tanh`. Unlike libm, this runs the same on every host,
-//! and [`crate::simd::exact_tanh_slice`] runs it eight lanes at a time.
+//! * [`tanh`] ports `tanhf` and the `expm1f` it calls (fdlibm's
+//!   `s_tanhf.c` and `s_expm1f.c`): IEEE `f32` operations and moves of
+//!   exponent bits, in the C source's order and with no FMA.
+//! * [`expf`] ports `e_expf.c` and its `e_exp2f_data.c` table, in `f64`.
+//!   glibc picks a build of it that fuses five multiply-adds on a host
+//!   with AVX2 and FMA (the goldens were made on one); the port computes
+//!   those five with `f64::mul_add`, which rounds once in hardware or
+//!   software alike.
 //!
-//! The Fast tier's approximations live in [`crate::fastmath`]; nothing
-//! here trades accuracy for speed.
+//! Each returns that libm's bits for every input, NaN payloads included
+//! (`crates/linalg/tests/exact_math.rs` checks all 2^32 inputs against
+//! `f32::tanh` and `f32::exp`), but the same on every host, and
+//! [`crate::simd`] runs each eight lanes at a time. Nothing here trades
+//! accuracy for speed; the Fast tier's approximation is in
+//! [`crate::fastmath`].
 
 const HUGE: f32 = 1.0e30;
 const TINY: f32 = 1.0e-30;
@@ -168,6 +172,89 @@ fn add_to_exponent(y: f32, k: i32) -> f32 {
     f32::from_bits(y.to_bits().wrapping_add((k << 23) as u32))
 }
 
+/// glibc's `__exp2f_data.tab`, by bit pattern: the bits of `2^(i/32)`
+/// minus `i << 47`, so `tab[k % 32] + (k << 47)` is the bits of `2^(k/32)`.
+#[rustfmt::skip]
+pub(crate) static EXP2F_TAB: [u64; 32] = [
+    0x3ff0_0000_0000_0000, 0x3fef_d9b0_d315_8574, 0x3fef_b558_6cf9_890f, 0x3fef_9301_d012_5b51,
+    0x3fef_72b8_3c7d_517b, 0x3fef_5487_3168_b9aa, 0x3fef_387a_6e75_6238, 0x3fef_1e9d_f51f_dee1,
+    0x3fef_06fe_0a31_b715, 0x3fee_f1a7_373a_a9cb, 0x3fee_dea6_4c12_3422, 0x3fee_ce08_6061_892d,
+    0x3fee_bfda_d536_2a27, 0x3fee_b42b_569d_4f82, 0x3fee_ab07_dd48_5429, 0x3fee_a47e_b03a_5585,
+    0x3fee_a09e_667f_3bcd, 0x3fee_9f75_e8ec_5f74, 0x3fee_a114_73eb_0187, 0x3fee_a589_994c_ce13,
+    0x3fee_ace5_422a_a0db, 0x3fee_b737_b0cd_c5e5, 0x3fee_c491_82a3_f090, 0x3fee_d503_b23e_255d,
+    0x3fee_e89f_995a_d3ad, 0x3fee_ff76_f2fb_5e47, 0x3fef_199b_dd85_529c, 0x3fef_3720_dcef_9069,
+    0x3fef_5818_dcfb_a487, 0x3fef_7c97_337b_9b5f, 0x3fef_a4af_a2a4_90da, 0x3fef_d076_5b6e_4540,
+];
+/// `32 / ln 2` (`0x1.71547652b82fep0 * 32`).
+pub(crate) const EXP_INVLN2N: f64 = f64::from_bits(0x4047_1547_652b_82fe);
+/// `0x1.8p52`: adding it rounds to an integer held in the low mantissa bits.
+pub(crate) const EXP_SHIFT: f64 = f64::from_bits(0x4338_0000_0000_0000);
+/// The cubic for `2^(r/32)`: `0x1.c6af84b912394p-5/32^3`,
+/// `0x1.ebfce50fac4f3p-3/32^2` and `0x1.62e42ff0c52d6p-1/32`.
+pub(crate) const EXP_C: [f64; 3] = [
+    f64::from_bits(0x3ebc_6af8_4b91_2394),
+    f64::from_bits(0x3f2e_bfce_50fa_c4f3),
+    f64::from_bits(0x3f96_2e42_ff0c_52d6),
+];
+
+/// `e^x` with glibc 2.36 `expf`'s exact bits, as its FMA variant computes
+/// them.
+///
+/// `-inf` gives `+0`, `+inf` and NaN give `x + x`, `x > 0x1.62e42ep6`
+/// gives `+inf` and `x < -0x1.9fe368p6` gives `+0`. Otherwise
+/// `x * 32/ln2 = k + r` with `|r| <= 1/2`, and `e^x` is the table's
+/// `2^(k/32)` times a cubic in `r`, in `f64`, rounded once to `f32`.
+#[inline]
+pub fn expf(x: f32) -> f32 {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("fma") {
+        // SAFETY: FMA support verified at runtime.
+        return unsafe { expf_fma(x) };
+    }
+    expf_body(x)
+}
+
+/// [`expf`] with each `mul_add` one `vfmadd` instruction.
+///
+/// # Safety
+/// The CPU must support FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "fma")]
+unsafe fn expf_fma(x: f32) -> f32 {
+    expf_body(x)
+}
+
+#[inline(always)]
+fn expf_body(x: f32) -> f32 {
+    let bits = x.to_bits();
+    // |x| >= 88, inf or NaN.
+    if bits & 0x7fff_ffff >= 0x42b0_0000 {
+        if bits == f32::NEG_INFINITY.to_bits() {
+            return 0.0;
+        }
+        if bits & 0x7fff_ffff >= 0x7f80_0000 {
+            return x + x;
+        }
+        if x > f32::from_bits(0x42b1_7217) {
+            return f32::INFINITY;
+        }
+        if x < f32::from_bits(0xc2cf_f1b4) {
+            return 0.0;
+        }
+    }
+    let xd = f64::from(x);
+    let kd = EXP_INVLN2N.mul_add(xd, EXP_SHIFT);
+    let ki = kd.to_bits();
+    let kd = kd - EXP_SHIFT;
+    let r = EXP_INVLN2N.mul_add(xd, -kd);
+    let s = f64::from_bits(EXP2F_TAB[(ki % 32) as usize].wrapping_add(ki << 47));
+    let z = EXP_C[0].mul_add(r, EXP_C[1]);
+    let r2 = r * r;
+    let y = EXP_C[2].mul_add(r, 1.0);
+    let y = z.mul_add(r2, y);
+    (y * s) as f32
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,5 +283,17 @@ mod tests {
         assert_eq!(tanh(30.0), 1.0);
         assert!(tanh(f32::NAN).is_nan());
         assert_eq!(tanh(1e-20), 1e-20);
+    }
+
+    #[test]
+    fn expf_special_values() {
+        assert_eq!(expf(0.0), 1.0);
+        assert_eq!(expf(-0.0), 1.0);
+        assert_eq!(expf(f32::NEG_INFINITY).to_bits(), 0);
+        assert_eq!(expf(f32::INFINITY), f32::INFINITY);
+        assert!(expf(f32::NAN).is_nan());
+        assert_eq!(expf(89.0), f32::INFINITY);
+        assert_eq!(expf(-104.0).to_bits(), 0);
+        assert_eq!(expf(1.0), std::f32::consts::E);
     }
 }

@@ -20,19 +20,16 @@ use std::sync::OnceLock;
 
 /// Numeric precision tier for *inference* arithmetic.
 ///
-/// * [`Precision::Exact`] — the workspace default: `exp` goes through
-///   libm and `tanh` through the in-tree port of glibc's `tanhf`
-///   ([`crate::exactmath`], libm's bits), the matmul kernels keep their
-///   per-element summation order and skip `a == 0.0` terms wherever that
-///   can change a bit, and all output is bitwise reproducible across
-///   thread counts, processes, and cache states.
-/// * [`Precision::Fast`] — an explicitly opt-in serving tier: polynomial
-///   `tanh`/`exp` approximations ([`crate::fastmath`]), a fused GELU
-///   forward with no cached-tanh bookkeeping, and matmul kernels that
-///   never skip (a zero meeting an inf or NaN gives NaN). Output is
-///   deterministic for a fixed build but is **not** bit-compatible with
-///   Exact; it is gated by the tolerance harness (label agreement ≥ 99.5%
-///   on the standard eval recipes).
+/// * [`Precision::Exact`] — the workspace default: `tanh` and `exp` go
+///   through the in-tree ports of glibc's `tanhf` and `expf`
+///   ([`crate::exactmath`], libm's bits), and all output is bitwise
+///   reproducible across thread counts, processes, and cache states.
+/// * [`Precision::Fast`] — an explicitly opt-in serving tier that changes
+///   two ops, the GELU (a polynomial `tanh`, [`crate::fastmath`]) and
+///   LayerNorm (a fused SIMD row pass), and runs Exact's code for the
+///   rest. Output is deterministic for a fixed build but is **not**
+///   bit-compatible with Exact; it is gated by the tolerance harness
+///   (label agreement ≥ 99.5% on the standard eval recipes).
 ///
 /// Training and adaptation always run Exact regardless of the policy: the
 /// tier selects which inference graphs the PLM constructs, and gradient

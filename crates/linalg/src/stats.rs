@@ -1,36 +1,36 @@
 //! Numerically stable reductions and summary statistics.
 
-/// Stable softmax over a slice, in place.
-pub fn softmax_inplace(a: &mut [f32]) {
-    if a.is_empty() {
+/// Stable softmax of each `cols`-wide row of `data`, in place: the one
+/// softmax of both precision tiers. Each row gets the bits of the
+/// textbook row loop on [`crate::exactmath::expf`]
+/// ([`crate::simd::softmax_rows_scalar`]), computed eight rows at a time
+/// where AVX2 and FMA are available.
+///
+/// # Panics
+/// Panics if `cols` is positive and does not divide `data.len()`.
+pub fn softmax_rows(data: &mut [f32], cols: usize) {
+    use crate::simd;
+    if cols == 0 {
         return;
     }
-    let max = a.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-    let mut sum = 0.0f32;
-    for v in a.iter_mut() {
-        *v = (*v - max).exp();
-        sum += *v;
+    assert!(data.len().is_multiple_of(cols), "softmax_rows: ragged rows");
+    // The AVX2 body gathers at offsets `r * cols` for `r < 8`, as `i32`.
+    #[cfg(target_arch = "x86_64")]
+    if simd::avx2_available()
+        && std::arch::is_x86_feature_detected!("fma")
+        && cols <= i32::MAX as usize / 8
+    {
+        // SAFETY: AVX2 and FMA verified at runtime; `cols` is positive,
+        // divides `data.len()` and keeps the gather offsets in `i32`.
+        unsafe { simd::softmax_rows_avx2(data, cols) };
+        return;
     }
-    if sum > 0.0 {
-        let inv = 1.0 / sum;
-        for v in a {
-            *v *= inv;
-        }
-    }
+    simd::softmax_rows_scalar(data, cols);
 }
 
-/// Fast-tier stable softmax in place: identical max-subtract/normalize
-/// structure to [`softmax_inplace`], with [`crate::fastmath::fast_exp`]
-/// (rel error ≤ 1e-5) instead of libm `exp`. Entries more than ~41
-/// below the row max come out at `fast_exp`'s ~2^-60 saturation floor
-/// rather than underflowing further — beyond f32 resolution of the
-/// normalized row either way, and it keeps the output (and everything
-/// later multiplied by it) free of subnormals. Only Fast-precision
-/// inference graphs call this; Exact paths keep the libm version.
-/// Dispatches to the SSE2 row pass ([`crate::simd::softmax_row_fast`])
-/// where available, with the scalar loop as the portable fallback.
-pub fn softmax_inplace_fast(a: &mut [f32]) {
-    crate::simd::softmax_row_fast(a);
+/// Stable softmax over a slice, in place: [`softmax_rows`] with one row.
+pub fn softmax_inplace(a: &mut [f32]) {
+    softmax_rows(a, a.len());
 }
 
 /// Stable softmax, returning a new vector.
@@ -145,15 +145,57 @@ mod tests {
             let max = v.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
             prop_assert!(log_sum_exp(&v) >= max - 1e-4);
         }
+    }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `softmax_rows` gives every row the bits of the textbook row
+        /// loop with the ported `expf`, over 0-20 rows of 1-70 columns.
+        /// Lanes mix finite values with raw bit patterns (±0, ±inf, NaN,
+        /// `|x| >= 88`), and some rows are all `-inf`.
         #[test]
-        fn fast_softmax_tracks_exact_softmax(v in proptest::collection::vec(-50.0f32..50.0, 1..16)) {
-            let exact = softmax(&v);
-            let mut fast = v.clone();
-            softmax_inplace_fast(&mut fast);
-            prop_assert!((fast.iter().sum::<f32>() - 1.0).abs() < 1e-4);
-            for (f, e) in fast.iter().zip(&exact) {
-                prop_assert!((f - e).abs() <= 1e-4, "fast={f} exact={e}");
+        fn softmax_rows_matches_the_row_loop_bitwise(
+            rows in 0usize..21,
+            cols in 1usize..71,
+            pool in proptest::collection::vec(0u32..u32::MAX, 20 * 70),
+            neg_inf_rows in proptest::collection::vec(0u8..8, 20),
+        ) {
+            const SPECIAL: [f32; 6] = [0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN, -95.5];
+            let mut data: Vec<f32> = pool[..rows * cols]
+                .iter()
+                .map(|&b| match b % 16 {
+                    0 => SPECIAL[(b / 16) as usize % SPECIAL.len()],
+                    1 => f32::from_bits(b),
+                    _ => (b as f32 / u32::MAX as f32 - 0.5) * 60.0,
+                })
+                .collect();
+            for (row, &pick) in data.chunks_exact_mut(cols).zip(&neg_inf_rows) {
+                if pick == 0 {
+                    row.fill(f32::NEG_INFINITY);
+                }
+            }
+            let mut want = data.clone();
+            for row in want.chunks_exact_mut(cols) {
+                let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+                let mut sum = 0.0f32;
+                for v in row.iter_mut() {
+                    *v = crate::exactmath::expf(*v - max);
+                    sum += *v;
+                }
+                if sum > 0.0 {
+                    let inv = 1.0 / sum;
+                    for v in row.iter_mut() {
+                        *v *= inv;
+                    }
+                }
+            }
+            let mut scalar = data.clone();
+            crate::simd::softmax_rows_scalar(&mut scalar, cols);
+            softmax_rows(&mut data, cols);
+            for (i, (got, want)) in data.iter().zip(&want).enumerate() {
+                prop_assert_eq!(got.to_bits(), want.to_bits(), "row {} col {}", i / cols, i % cols);
+                prop_assert_eq!(scalar[i].to_bits(), want.to_bits(), "scalar twin");
             }
         }
     }

@@ -1,17 +1,20 @@
-//! Exhaustive check of the Exact tier's `tanh` on all 2^32 `f32` bit
-//! patterns, NaN payloads included, in two halves:
+//! Exhaustive checks of the Exact tier's `tanh` and `exp` on all 2^32
+//! `f32` bit patterns, NaN payloads included, each in two halves:
 //!
-//! * the dispatched slice pass (`simd::exact_tanh_slice`, eight AVX2
-//!   lanes on a host that has them) equals its scalar twin, the port of
-//!   glibc's `tanhf` in `exactmath`. This half holds on every host;
-//! * the scalar port equals `f32::tanh`, which calls the platform libm.
-//!   That is the libm the goldens in `ci/golden/` were made with (glibc
-//!   2.36). On another libm this half can fail, exactly where
-//!   `ci/golden/README.md`'s libm caveat already applies; the Exact tier
-//!   itself no longer calls libm `tanh`.
+//! * the dispatched slice pass (`simd::exact_tanh_slice` or
+//!   `simd::exact_exp_slice`, eight AVX2 lanes on a host that has them)
+//!   equals its scalar twin, the port of glibc's `tanhf` or `expf` in
+//!   `exactmath`. This half holds on every host;
+//! * the scalar port equals `f32::tanh` or `f32::exp`, which call the
+//!   platform libm. That is the libm the goldens in `ci/golden/` were
+//!   made with (glibc 2.36, whose `expf` is the FMA variant on a host with
+//!   AVX2 and FMA). On another libm, or where glibc picks its non-FMA
+//!   `expf`, this half can fail, exactly where `ci/golden/README.md`'s
+//!   libm caveat already applies; the Exact tier itself no longer calls
+//!   libm `tanh` or, in a softmax or sigmoid, libm `exp`.
 //!
-//! Each half sweeps on two threads (about 20 s each in the test profile
-//! on a 2-vCPU x86-64 host).
+//! Each sweep runs on two threads (about 10-20 s each in the test
+//! profile on a 2-vCPU x86-64 host).
 
 use structmine_linalg::{exactmath, simd};
 
@@ -58,8 +61,8 @@ fn sweep(check: impl Fn(&[f32], &mut Vec<Mismatch>) + Sync) -> (u64, Vec<Mismatc
     (count, examples)
 }
 
-#[test]
-fn slice_pass_equals_scalar_port_on_every_input() {
+/// Sweep `pass` against `port` on every input; `name` labels the failure.
+fn slice_pass_sweep(name: &str, pass: fn(&mut [f32]), port: fn(f32) -> f32) {
     let path = if simd::avx2_available() {
         "avx2"
     } else {
@@ -67,9 +70,9 @@ fn slice_pass_equals_scalar_port_on_every_input() {
     };
     let (count, examples) = sweep(|xs, found| {
         let mut got = xs.to_vec();
-        simd::exact_tanh_slice(&mut got);
+        pass(&mut got);
         for (&x, g) in xs.iter().zip(&got) {
-            let want = exactmath::tanh(x);
+            let want = port(x);
             if g.to_bits() != want.to_bits() {
                 found.push((x.to_bits(), g.to_bits(), want.to_bits()));
             }
@@ -77,16 +80,16 @@ fn slice_pass_equals_scalar_port_on_every_input() {
     });
     assert_eq!(
         count, 0,
-        "{path} exact_tanh_slice differs from exactmath::tanh on {count} inputs; \
+        "{path} {name} differs from its scalar port on {count} inputs; \
          first (x, got, want) bits: {examples:08x?}"
     );
 }
 
-#[test]
-fn scalar_port_equals_libm_on_every_input() {
+/// Sweep the scalar `port` against the platform libm's `libm`.
+fn libm_sweep(name: &str, port: fn(f32) -> f32, libm: fn(f32) -> f32) {
     let (count, examples) = sweep(|xs, found| {
         for &x in xs {
-            let (got, want) = (exactmath::tanh(x), x.tanh());
+            let (got, want) = (port(x), libm(x));
             if got.to_bits() != want.to_bits() {
                 found.push((x.to_bits(), got.to_bits(), want.to_bits()));
             }
@@ -94,7 +97,27 @@ fn scalar_port_equals_libm_on_every_input() {
     });
     assert_eq!(
         count, 0,
-        "exactmath::tanh differs from the platform libm's tanhf on {count} inputs; \
+        "{name} differs from the platform libm on {count} inputs; \
          first (x, got, want) bits: {examples:08x?}"
     );
+}
+
+#[test]
+fn slice_pass_equals_scalar_port_on_every_input() {
+    slice_pass_sweep("exact_tanh_slice", simd::exact_tanh_slice, exactmath::tanh);
+}
+
+#[test]
+fn scalar_port_equals_libm_on_every_input() {
+    libm_sweep("exactmath::tanh", exactmath::tanh, f32::tanh);
+}
+
+#[test]
+fn exp_pass_equals_scalar_port_on_every_input() {
+    slice_pass_sweep("exact_exp_slice", simd::exact_exp_slice, exactmath::expf);
+}
+
+#[test]
+fn exp_scalar_port_equals_libm_on_every_input() {
+    libm_sweep("exactmath::expf", exactmath::expf, f32::exp);
 }

@@ -143,9 +143,8 @@ impl MlpClassifier {
         let xl = g.leaf(x.clone());
         let logits = self.logits(&mut g, &mut binding, xl);
         let mut probs = g.value(logits).clone();
-        for i in 0..probs.rows() {
-            structmine_linalg::stats::softmax_inplace(probs.row_mut(i));
-        }
+        let cols = probs.cols();
+        structmine_linalg::stats::softmax_rows(probs.data_mut(), cols);
         probs
     }
 

@@ -22,7 +22,7 @@
 //! always fully overwritten (or explicitly zeroed) before use, so results
 //! are byte-identical to freshly allocated storage — property-tested below.
 
-use structmine_linalg::{fastmath, simd, ExecPolicy, Matrix, PackedMatrix, Precision, Rhs};
+use structmine_linalg::{exactmath, simd, stats, ExecPolicy, Matrix, PackedMatrix, Precision, Rhs};
 
 /// Thread-local recycling pool for matrix buffers, keyed by element count.
 ///
@@ -158,14 +158,13 @@ struct Node {
 
 /// A tape of matrix operations supporting reverse-mode differentiation.
 ///
-/// The tape carries a [`Precision`] chosen at construction: Exact tapes
-/// (the default, and the only kind training ever builds) use libm's
-/// `exp`, the bit-exact port of libm's `tanhf`
-/// ([`structmine_linalg::exactmath`]) and the bit-reproducible matmul
-/// kernels; Fast tapes
-/// swap in the [`structmine_linalg::fastmath`] approximations, the fused
-/// no-cache GELU, and the branch-free matmul path. Backward passes are
-/// only supported on Exact tapes.
+/// The tape carries a [`Precision`] chosen at construction. Both tiers
+/// share the matmul, and the softmax, `tanh` and the sigmoid with libm's
+/// bits (the ports in [`structmine_linalg::exactmath`]); a Fast tape
+/// (inference only) swaps in the polynomial-`tanh` GELU and the SIMD
+/// LayerNorm row pass, and skips their backward bookkeeping. Exact tapes
+/// are the default and the only kind training ever builds; backward
+/// passes are only supported on them.
 #[derive(Default)]
 pub struct Graph {
     nodes: Vec<Node>,
@@ -334,19 +333,11 @@ impl Graph {
         self.push(v, Op::Mul(a, b))
     }
 
-    /// The policy this tape's products run under: the process-wide thread
-    /// count at the tape's precision tier.
-    fn policy(&self) -> ExecPolicy {
-        ExecPolicy::global().with_precision(self.precision)
-    }
-
-    /// Matrix product `a × b`. Fast tapes use the branch-free kernel
-    /// (no `a == 0.0` skip, no bit-compat with Exact); Exact tapes keep
-    /// the bit-reproducible kernel.
+    /// Matrix product `a × b`.
     pub fn matmul(&mut self, a: NodeId, b: NodeId) -> NodeId {
         let (va, vb) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
         let mut v = arena::take_uninit(va.rows(), vb.cols());
-        va.matmul_into(Rhs::Dense(vb), &self.policy(), &mut v);
+        va.matmul_into(Rhs::Dense(vb), ExecPolicy::global(), &mut v);
         self.push(v, Op::MatMul(a, b))
     }
 
@@ -357,7 +348,7 @@ impl Graph {
     pub fn matmul_t(&mut self, a: NodeId, b: NodeId) -> NodeId {
         let (va, vb) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
         let mut v = arena::take_uninit(va.rows(), vb.rows());
-        va.matmul_into(Rhs::DenseT(vb), &self.policy(), &mut v);
+        va.matmul_into(Rhs::DenseT(vb), ExecPolicy::global(), &mut v);
         self.push(v, Op::MatMulT(a, b))
     }
 
@@ -366,13 +357,13 @@ impl Graph {
     /// [`Self::matmul`]/[`Self::matmul_t`] (the pack's orientation decides
     /// which product this computes). Skips both the per-call weight copy
     /// into the tape and the per-call panel pack; per-element arithmetic is
-    /// identical to the unpacked op at the same precision, so Exact tapes
-    /// stay bitwise reproducible. Inference-only: the weight is not a tape
-    /// node, so backward through this op panics.
+    /// identical to the unpacked op, so the output bits are too.
+    /// Inference-only: the weight is not a tape node, so backward through
+    /// this op panics.
     pub fn matmul_prepacked(&mut self, a: NodeId, packed: &PackedMatrix) -> NodeId {
         let va = &self.nodes[a.0].value;
         let mut v = arena::take_uninit(va.rows(), packed.n());
-        va.matmul_into(Rhs::Packed(packed), &self.policy(), &mut v);
+        va.matmul_into(Rhs::Packed(packed), ExecPolicy::global(), &mut v);
         self.push(v, Op::MatMulPrepacked(a))
     }
 
@@ -420,45 +411,26 @@ impl Graph {
         self.push(v, Op::Gelu(a, t))
     }
 
-    /// tanh: the Exact tier's slice pass (libm `tanhf`'s bits), or the Fast
-    /// tier's polynomial.
+    /// tanh: the slice pass with libm `tanhf`'s bits, at both tiers.
     pub fn tanh(&mut self, a: NodeId) -> NodeId {
-        let v = match self.precision {
-            Precision::Exact => {
-                let mut v = arena::take_copy(&self.nodes[a.0].value);
-                simd::exact_tanh_slice(v.data_mut());
-                v
-            }
-            Precision::Fast => self.map_unary(a, fastmath::fast_tanh),
-        };
+        let mut v = arena::take_copy(&self.nodes[a.0].value);
+        simd::exact_tanh_slice(v.data_mut());
         self.push(v, Op::Tanh(a))
     }
 
-    /// Logistic sigmoid.
+    /// Logistic sigmoid, at both tiers.
     pub fn sigmoid(&mut self, a: NodeId) -> NodeId {
-        let v = match self.precision {
-            Precision::Exact => self.map_unary(a, sigmoid),
-            Precision::Fast => self.map_unary(a, fast_sigmoid),
-        };
+        let v = self.map_unary(a, sigmoid);
         self.push(v, Op::Sigmoid(a))
     }
 
-    /// Softmax independently over each row.
+    /// Softmax independently over each row ([`stats::softmax_rows`], at
+    /// both tiers).
     pub fn row_softmax(&mut self, a: NodeId) -> NodeId {
-        let va = &self.nodes[a.0].value;
-        let mut v = arena::take_copy(va);
-        for i in 0..v.rows() {
-            self.softmax_row(v.row_mut(i));
-        }
+        let mut v = arena::take_copy(&self.nodes[a.0].value);
+        let cols = v.cols();
+        stats::softmax_rows(v.data_mut(), cols);
         self.push(v, Op::RowSoftmax(a))
-    }
-
-    /// The per-row softmax primitive at this tape's precision.
-    fn softmax_row(&self, row: &mut [f32]) {
-        match self.precision {
-            Precision::Exact => structmine_linalg::stats::softmax_inplace(row),
-            Precision::Fast => structmine_linalg::stats::softmax_inplace_fast(row),
-        }
     }
 
     /// Fused `row_softmax(s * a)` — one node instead of a Scale node plus a
@@ -471,9 +443,8 @@ impl Graph {
         for (o, &x) in v.data_mut().iter_mut().zip(va.data()) {
             *o = x * s;
         }
-        for i in 0..v.rows() {
-            self.softmax_row(v.row_mut(i));
-        }
+        let cols = v.cols();
+        stats::softmax_rows(v.data_mut(), cols);
         self.push(v, Op::ScaledRowSoftmax(a, s))
     }
 
@@ -585,13 +556,12 @@ impl Graph {
         let vl = &self.nodes[logits.0].value;
         assert_eq!(vl.shape(), targets.shape(), "softmax_ce shape mismatch");
         let mut probs = arena::take_copy(vl);
+        let cols = probs.cols();
+        stats::softmax_rows(probs.data_mut(), cols);
         let mut loss = 0.0f32;
-        for i in 0..probs.rows() {
-            structmine_linalg::stats::softmax_inplace(probs.row_mut(i));
-            for (p, t) in probs.row(i).iter().zip(targets.row(i)) {
-                if *t > 0.0 {
-                    loss -= t * p.max(1e-12).ln();
-                }
+        for (p, t) in probs.data().iter().zip(targets.data()) {
+            if *t > 0.0 {
+                loss -= t * p.max(1e-12).ln();
             }
         }
         loss /= probs.rows().max(1) as f32;
@@ -688,26 +658,26 @@ impl Graph {
             }
             Op::MatMul(a, b) => {
                 let (va, vb) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
-                let policy = self.policy();
+                let policy = ExecPolicy::global();
                 let mut ga = arena::take_uninit(grad_out.rows(), vb.rows());
-                grad_out.matmul_into(Rhs::DenseT(vb), &policy, &mut ga);
+                grad_out.matmul_into(Rhs::DenseT(vb), policy, &mut ga);
                 let mut at = arena::take_uninit(va.cols(), va.rows());
                 va.transpose_into(&mut at);
                 let mut gb = arena::take_uninit(at.rows(), grad_out.cols());
-                at.matmul_into(Rhs::Dense(grad_out), &policy, &mut gb);
+                at.matmul_into(Rhs::Dense(grad_out), policy, &mut gb);
                 arena::give_back(at);
                 vec![(*a, ga), (*b, gb)]
             }
             Op::MatMulT(a, b) => {
                 // out = A·Bᵀ, so dA = G·B and dB = Gᵀ·A.
                 let (va, vb) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
-                let policy = self.policy();
+                let policy = ExecPolicy::global();
                 let mut ga = arena::take_uninit(grad_out.rows(), vb.cols());
-                grad_out.matmul_into(Rhs::Dense(vb), &policy, &mut ga);
+                grad_out.matmul_into(Rhs::Dense(vb), policy, &mut ga);
                 let mut gt = arena::take_uninit(grad_out.cols(), grad_out.rows());
                 grad_out.transpose_into(&mut gt);
                 let mut gb = arena::take_uninit(gt.rows(), va.cols());
-                gt.matmul_into(Rhs::Dense(va), &policy, &mut gb);
+                gt.matmul_into(Rhs::Dense(va), policy, &mut gb);
                 arena::give_back(gt);
                 vec![(*a, ga), (*b, gb)]
             }
@@ -958,13 +928,7 @@ fn scaled_diff(a: &Matrix, b: &Matrix, scale: f32) -> Matrix {
 }
 
 fn sigmoid(x: f32) -> f32 {
-    1.0 / (1.0 + (-x).exp())
-}
-
-/// Fast-tier sigmoid: same rational form with [`fastmath::fast_exp`]
-/// (rel error ≤ 1e-5, so the sigmoid error is ≤ ~2.5e-6 absolute).
-fn fast_sigmoid(x: f32) -> f32 {
-    1.0 / (1.0 + fastmath::fast_exp(-x))
+    1.0 / (1.0 + exactmath::expf(-x))
 }
 
 const GELU_C: f32 = 0.797_884_6; // sqrt(2/pi)

@@ -348,10 +348,7 @@ impl MiniPlm {
             let bound = self.bound();
             let h = bound.encode(g, tokens);
             let logits = bound.rtd_logits(g, h);
-            let sig = |z: f32| match precision {
-                Precision::Exact => 1.0 / (1.0 + (-z).exp()),
-                Precision::Fast => 1.0 / (1.0 + structmine_linalg::fastmath::fast_exp(-z)),
-            };
+            let sig = |z: f32| 1.0 / (1.0 + structmine_linalg::exactmath::expf(-z));
             g.value(logits).data().iter().map(|&z| sig(z)).collect()
         })
     }
@@ -370,10 +367,7 @@ impl MiniPlm {
             let h = bound.encode(g, &seq);
             let logits = bound.nli_logits(g, h);
             let mut probs = g.value(logits).row(0).to_vec();
-            match precision {
-                Precision::Exact => structmine_linalg::stats::softmax_inplace(&mut probs),
-                Precision::Fast => structmine_linalg::stats::softmax_inplace_fast(&mut probs),
-            }
+            structmine_linalg::stats::softmax_inplace(&mut probs);
             probs[1]
         })
     }

@@ -1,7 +1,7 @@
-//! `bench_serve` — load-test the in-process server and write the current
-//! trajectory points to `BENCH_serve.json` (methodology: EXPERIMENTS.md
-//! §"Serving throughput trajectory"; prior entries are preserved by hand
-//! when recording a new point next to historical ones).
+//! `bench_serve` — load-test the in-process server and print the current
+//! trajectory points to stdout as two `BENCH_serve.json` entries, to be
+//! appended to that file's `entries` (methodology: EXPERIMENTS.md
+//! §"Serving throughput trajectory").
 //!
 //! Runs a Test-tier X-Class engine on a fixed label set at **both
 //! precision tiers** (DESIGN §13) — the Fast twin shares the Exact
@@ -204,11 +204,17 @@ fn main() {
             "    {{\n      \"date\": \"{date}\",\n      \"change\": \"{change}\",\n      \"tier\": \"test\",\n      \"method\": \"xclass\",\n      \"precision\": \"{precision}\",\n      \"requests_per_client\": {requests},\n      \"docs_per_request\": {docs},\n      \"levels\": [\n{levels}\n      ]\n    }}"
         )
     };
-    let json = format!(
-        "{{\n  \"description\": \"Serving throughput trajectory of structmine-serve (DESIGN §10): docs/sec and request latency of POST /classify against a Test-tier X-Class engine with adaptive micro-batching (max_batch 32, flush 2000us), at both precision tiers (DESIGN §13). Regeneration: EXPERIMENTS.md §'Serving throughput trajectory'.\",\n  \"entries\": [\n{},\n{}\n  ]\n}}\n",
-        entry("exact", "precision tiers: exact-tier measurement", &levels_json(&exact_levels)),
-        entry("fast", "precision tiers: fast-tier measurement (same fit, fast query encode)", &levels_json(&fast_levels)),
+    println!(
+        "{},\n{}",
+        entry(
+            "exact",
+            "precision tiers: exact-tier measurement",
+            &levels_json(&exact_levels)
+        ),
+        entry(
+            "fast",
+            "precision tiers: fast-tier measurement (same fit, fast query encode)",
+            &levels_json(&fast_levels)
+        ),
     );
-    std::fs::write("BENCH_serve.json", json).expect("write BENCH_serve.json");
-    println!("wrote BENCH_serve.json");
 }

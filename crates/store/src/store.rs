@@ -1030,6 +1030,108 @@ mod tests {
         assert!(split_checksum(b"").is_none());
     }
 
+    mod fail_closed {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// A fault-free store in a fresh directory, the key of a `Vec<u32>`
+        /// artifact, and the path its file lives at.
+        fn fixture(tag: &str) -> (ArtifactStore, ArtifactKey, PathBuf) {
+            let (_, dir) = tmp_store(tag);
+            std::fs::create_dir_all(&dir).unwrap();
+            let store = ArtifactStore::with_dir_and_faults(&dir, FaultInjector::none());
+            let key = ArtifactKey::new("test/fail-closed", 1, |h| h.write_u64(7));
+            let path = dir.join(key.file_name());
+            (store, key, path)
+        }
+
+        /// The bytes `write_disk` persists for `payload`.
+        fn artifact_file(store: &ArtifactStore, key: &ArtifactKey, payload: &[u32]) -> Vec<u8> {
+            store.write_disk(key, &payload.to_vec()).unwrap();
+            std::fs::read(store.dir().unwrap().join(key.file_name())).unwrap()
+        }
+
+        /// Read `bytes` back through the checksummed decode.
+        fn read(
+            store: &ArtifactStore,
+            key: &ArtifactKey,
+            path: &Path,
+            bytes: &[u8],
+        ) -> Result<Option<Vec<u32>>, StoreError> {
+            std::fs::write(path, bytes).unwrap();
+            store.read_disk::<Vec<u32>>(key)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            /// Arbitrary bytes, with and without a footer marker in them or
+            /// a valid footer after them: the footer split and the
+            /// checksummed decode return a value or a typed error, never a
+            /// panic.
+            #[test]
+            fn arbitrary_bytes_never_panic(
+                bytes in proptest::collection::vec(0u8..255, 0..200),
+                with_marker in 0u8..2,
+            ) {
+                let (store, key, path) = fixture("fail-closed-arbitrary");
+                let mut bytes = bytes;
+                if with_marker == 1 {
+                    let at = bytes.len() / 2;
+                    bytes.splice(at..at, CHECKSUM_MARKER.iter().copied());
+                }
+                if let Some((body, _)) = split_checksum(&bytes) {
+                    prop_assert!(bytes.starts_with(body));
+                }
+                let _ = read(&store, &key, &path, &bytes);
+                let mut footed = bytes.clone();
+                footed.extend_from_slice(CHECKSUM_MARKER);
+                footed.extend_from_slice(format!("{:032x}", checksum_of(&bytes)).as_bytes());
+                let _ = read(&store, &key, &path, &footed);
+                let _ = std::fs::remove_dir_all(path.parent().unwrap());
+            }
+
+            /// Every truncation of a valid file fails closed: a missing or
+            /// mismatched footer, never a decoded value.
+            #[test]
+            fn truncated_files_fail_closed(
+                payload in proptest::collection::vec(0u32..1_000_000, 0..40),
+                cut in 0.0f64..1.0,
+            ) {
+                let (store, key, path) = fixture("fail-closed-truncated");
+                let file = artifact_file(&store, &key, &payload);
+                prop_assert_eq!(read(&store, &key, &path, &file).unwrap(), Some(payload.clone()));
+                let keep = (cut * file.len() as f64) as usize;
+                match read(&store, &key, &path, &file[..keep]) {
+                    Err(StoreError::MissingChecksum { .. } | StoreError::ChecksumMismatch { .. }) => {}
+                    other => prop_assert!(false, "kept {} of {} bytes: {:?}", keep, file.len(), other),
+                }
+                let _ = std::fs::remove_dir_all(path.parent().unwrap());
+            }
+
+            /// A flipped bit anywhere in a valid file gives a typed error,
+            /// or, where the flip leaves the digest's value unchanged (a
+            /// hex letter's case), the original payload: never another one.
+            #[test]
+            fn bit_flipped_files_fail_closed(
+                payload in proptest::collection::vec(0u32..1_000_000, 0..40),
+                at in 0.0f64..1.0,
+                bit in 0u8..8,
+            ) {
+                let (store, key, path) = fixture("fail-closed-flipped");
+                let mut file = artifact_file(&store, &key, &payload);
+                let i = ((at * file.len() as f64) as usize).min(file.len() - 1);
+                file[i] ^= 1 << bit;
+                match read(&store, &key, &path, &file) {
+                    Ok(Some(back)) => prop_assert_eq!(back, payload, "flip at byte {}", i),
+                    Ok(None) => prop_assert!(false, "flip at byte {} read as a miss", i),
+                    Err(_) => {}
+                }
+                let _ = std::fs::remove_dir_all(path.parent().unwrap());
+            }
+        }
+    }
+
     #[test]
     fn scoped_store_mirrors_stats_into_obs_counters() {
         // A unique scope isolates this test from every other store in the

@@ -463,6 +463,96 @@ mod tests {
         }
     }
 
+    mod fail_closed {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Bytes drawn from JSON's structural and literal alphabet, so
+        /// random input reaches deep into the parser, not just its first
+        /// byte; every fourth byte is arbitrary.
+        fn json_ish(picks: &[u32]) -> Vec<u8> {
+            const ALPHABET: &[u8] = b"{}[]:,\"\\ -+.0123456789eEtrufalsn\\u00e9x";
+            picks
+                .iter()
+                .map(|&p| match p % 4 {
+                    0 => (p >> 8) as u8,
+                    _ => ALPHABET[(p >> 8) as usize % ALPHABET.len()],
+                })
+                .collect()
+        }
+
+        fn checkpoint(seed: u64, data: &[f32]) -> Checkpoint {
+            Checkpoint {
+                name: format!("b{seed}.h\"{}\\q\u{e9}", seed % 7),
+                seed,
+                weights: data
+                    .chunks(3)
+                    .map(|c| Weights {
+                        rows: 1,
+                        cols: c.len(),
+                        data: c.to_vec(),
+                    })
+                    .collect(),
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Arbitrary and JSON-shaped bytes: `from_slice` and `from_str`
+            /// return a value or a typed error, never a panic.
+            #[test]
+            fn arbitrary_input_never_panics(
+                picks in proptest::collection::vec(0u32..u32::MAX, 0..120),
+            ) {
+                let raw: Vec<u8> = picks.iter().map(|&p| p as u8).collect();
+                for bytes in [raw, json_ish(&picks)] {
+                    let _ = from_slice::<serde::Value>(&bytes);
+                    let _ = from_slice::<Checkpoint>(&bytes);
+                    if let Ok(text) = std::str::from_utf8(&bytes) {
+                        let _ = from_str::<serde::Value>(text);
+                        let _ = from_str::<Vec<(String, f64)>>(text);
+                    }
+                }
+            }
+
+            /// Every strict prefix of a valid document is an error.
+            #[test]
+            fn truncated_documents_are_errors(
+                seed in 0u64..1000,
+                data in proptest::collection::vec(-1.0e6f32..1.0e6, 0..12),
+                cut in 0.0f64..1.0,
+            ) {
+                let cp = checkpoint(seed, &data);
+                let text = to_vec(&cp).unwrap();
+                prop_assert_eq!(from_slice::<Checkpoint>(&text).unwrap(), cp);
+                let keep = (cut * text.len() as f64) as usize;
+                prop_assert!(from_slice::<Checkpoint>(&text[..keep]).is_err(), "prefix {}", keep);
+                prop_assert!(from_slice::<serde::Value>(&text[..keep]).is_err(), "prefix {}", keep);
+            }
+
+            /// A flipped bit gives a value or a typed error, never a panic;
+            /// a flipped structural byte is always an error.
+            #[test]
+            fn bit_flipped_documents_never_panic(
+                seed in 0u64..1000,
+                data in proptest::collection::vec(-1.0e6f32..1.0e6, 0..12),
+                at in 0.0f64..1.0,
+                bit in 0u8..8,
+            ) {
+                let mut text = to_vec(&checkpoint(seed, &data)).unwrap();
+                let i = ((at * text.len() as f64) as usize).min(text.len() - 1);
+                let byte = text[i];
+                text[i] ^= 1 << bit;
+                let parsed = from_slice::<Checkpoint>(&text);
+                if b"{}[]:,".contains(&byte) {
+                    prop_assert!(parsed.is_err(), "byte {} bit {}", i, bit);
+                }
+                let _ = from_slice::<serde::Value>(&text);
+            }
+        }
+    }
+
     #[test]
     fn strings_with_escapes_round_trip() {
         let s = "a\"b\\c\nd\te\u{1F600}".to_string();
