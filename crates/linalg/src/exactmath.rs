@@ -206,26 +206,6 @@ pub(crate) const EXP_C: [f64; 3] = [
 /// `2^(k/32)` times a cubic in `r`, in `f64`, rounded once to `f32`.
 #[inline]
 pub fn expf(x: f32) -> f32 {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("fma") {
-        // SAFETY: FMA support verified at runtime.
-        return unsafe { expf_fma(x) };
-    }
-    expf_body(x)
-}
-
-/// [`expf`] with each `mul_add` one `vfmadd` instruction.
-///
-/// # Safety
-/// The CPU must support FMA.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "fma")]
-unsafe fn expf_fma(x: f32) -> f32 {
-    expf_body(x)
-}
-
-#[inline(always)]
-fn expf_body(x: f32) -> f32 {
     let bits = x.to_bits();
     // |x| >= 88, inf or NaN.
     if bits & 0x7fff_ffff >= 0x42b0_0000 {
@@ -255,13 +235,20 @@ fn expf_body(x: f32) -> f32 {
     (y * s) as f32
 }
 
+/// The logistic sigmoid `1 / (1 + e^-x)` on [`expf`]: the one sigmoid of
+/// the tape and of the PLM's replaced-token head.
+#[inline]
+pub fn sigmoid(x: f32) -> f32 {
+    1.0 / (1.0 + expf(-x))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     /// Every 127th bit pattern, all signs, exponents and NaN payloads:
     /// the port equals libm's `expm1f` bit for bit. (The exhaustive
-    /// sweep in `tests/exact_tanh.rs` covers every argument `tanh` uses.)
+    /// sweep in `tests/exact_math.rs` covers every argument `tanh` uses.)
     #[test]
     fn expm1_matches_libm_on_a_stride_of_all_inputs() {
         let mut mismatches = 0u32;

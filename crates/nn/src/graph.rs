@@ -420,7 +420,7 @@ impl Graph {
 
     /// Logistic sigmoid, at both tiers.
     pub fn sigmoid(&mut self, a: NodeId) -> NodeId {
-        let v = self.map_unary(a, sigmoid);
+        let v = self.map_unary(a, exactmath::sigmoid);
         self.push(v, Op::Sigmoid(a))
     }
 
@@ -576,7 +576,7 @@ impl Graph {
         let mut sig = arena::take_copy(vl);
         let mut loss = 0.0f32;
         for (s, t) in sig.data_mut().iter_mut().zip(targets.data()) {
-            *s = sigmoid(*s);
+            *s = exactmath::sigmoid(*s);
             let p = s.clamp(1e-7, 1.0 - 1e-7);
             loss -= t * p.ln() + (1.0 - t) * (1.0 - p).ln();
         }
@@ -925,10 +925,6 @@ fn scaled_diff(a: &Matrix, b: &Matrix, scale: f32) -> Matrix {
         *o = (x - y) * scale;
     }
     out
-}
-
-fn sigmoid(x: f32) -> f32 {
-    1.0 / (1.0 + exactmath::expf(-x))
 }
 
 const GELU_C: f32 = 0.797_884_6; // sqrt(2/pi)

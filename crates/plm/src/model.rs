@@ -11,7 +11,7 @@
 //! per tape and accumulate several sequence losses before the Adam step.
 
 use crate::config::PlmConfig;
-use structmine_linalg::{vector, Matrix, Precision};
+use structmine_linalg::{exactmath, vector, Matrix, Precision};
 use structmine_nn::graph::{Graph, NodeId};
 use structmine_nn::layers::{Embedding, LayerNorm, Linear};
 use structmine_nn::params::{Adam, Binding, ParamId, ParamStore};
@@ -348,8 +348,8 @@ impl MiniPlm {
             let bound = self.bound();
             let h = bound.encode(g, tokens);
             let logits = bound.rtd_logits(g, h);
-            let sig = |z: f32| 1.0 / (1.0 + structmine_linalg::exactmath::expf(-z));
-            g.value(logits).data().iter().map(|&z| sig(z)).collect()
+            let logits = g.value(logits).data().iter().copied();
+            logits.map(exactmath::sigmoid).collect()
         })
     }
 
