@@ -8,7 +8,9 @@
 //!   glibc picks a build of it that fuses five multiply-adds on a host
 //!   with AVX2 and FMA (the goldens were made on one); the port computes
 //!   those five with `f64::mul_add`, which rounds once in hardware or
-//!   software alike.
+//!   software alike. Software is a libm `fma` call each, several times
+//!   libm `expf`'s cost; the AVX2+FMA pass in [`crate::simd`] inlines the
+//!   port and fuses them in hardware.
 //!
 //! Each returns that libm's bits for every input, NaN payloads included
 //! (`crates/linalg/tests/exact_math.rs` checks all 2^32 inputs against
